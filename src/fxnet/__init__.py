@@ -12,7 +12,6 @@ from .market_data import (
 )
 from .tails import TailFit, TailFitError, fit_tail_exponent, hill_estimate, tail_survival
 from .spectral import (
-    ConvergenceError,
     CorrelationMatrix,
     RmtBounds,
     SpectralDecomposition,

@@ -118,7 +118,11 @@ def _load_spectrum(args):
 
 def _group_matrix(args):
     rp, cm, sd, bounds = _load_spectrum(args)
-    n_g = modes.select_ng(sd, bounds) if args.n_g == "auto" else int(args.n_g)
+    if args.n_g == "auto":
+        n_g = modes.select_ng(sd, bounds)
+    else:
+        # same cap as run_pipeline, so the default of 6 works on small panels
+        n_g = min(int(args.n_g), rp.n_assets - 1)
     return rp, modes.decompose_modes(sd, n_g), n_g
 
 

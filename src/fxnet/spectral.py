@@ -11,13 +11,8 @@ import numpy as np
 
 from .market_data import ReturnPanel, PanelError
 
-DEFAULT_MAX_SWEEPS = 100
 SYMMETRY_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before reaching the off-diagonal tolerance."""
 
 
 @dataclass(frozen=True)
@@ -85,40 +80,9 @@ def correlation_matrix(rp: ReturnPanel) -> CorrelationMatrix:
     return cm
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    apq = a[p, q]
-    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
+def eigendecompose(cm: CorrelationMatrix) -> SpectralDecomposition:
+    """LAPACK symmetric eigendecomposition with a fixed ordering and sign convention.
 
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((off * off).sum()))
-
-
-def eigendecompose(
-    cm: CorrelationMatrix,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> SpectralDecomposition:
-    """Cyclic Jacobi eigendecomposition with a fixed ordering and sign convention.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below 1e-12 * N.
     Eigenvalues are sorted descending; within a degenerate block eigenvectors
     are ordered by the index of their largest-magnitude component; each
     eigenvector is flipped so that component is positive, then scaled to
@@ -126,24 +90,7 @@ def eigendecompose(
     """
     cm.validate()
     n = cm.size
-    a = np.array(cm.values, dtype=float)
-    v = np.eye(n)
-    tol = 1e-12 * n
-    skip = tol / (n * n)
-    for _ in range(max_sweeps):
-        if _off_norm(a) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > skip:
-                    _jacobi_rotate(a, v, p, q)
-    else:
-        if _off_norm(a) >= tol:
-            raise ConvergenceError(
-                f"Jacobi did not converge within {max_sweeps} sweeps"
-            )
-
-    vals = np.diag(a).copy()
+    vals, v = np.linalg.eigh(cm.values)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = v[:, order].T  # row per eigenvector

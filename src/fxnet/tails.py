@@ -89,12 +89,11 @@ def tail_survival(samples: np.ndarray, side: str = "positive") -> list[tuple[flo
     if x.size == 0:
         raise TailFitError("empty sample vector")
     xs = np.sort(x)
-    values, first_idx = np.unique(xs, return_index=True)
+    # return_index keeps the first of equal values in xs; plain np.unique sorts
+    # again and may keep a zero of the other sign, which prints differently
+    values, _ = np.unique(xs, return_index=True)
     n = xs.size
-    out: list[tuple[float, float]] = []
-    for v, idx in zip(values, first_idx):
-        # count strictly greater: everything after the last occurrence of v
-        greater = n - np.searchsorted(xs, v, side="right")
-        if greater > 0:
-            out.append((float(v), greater / n))
-    return out
+    # count strictly greater: everything after the last occurrence of each value
+    greater = n - np.searchsorted(xs, values, side="right")
+    keep = greater > 0
+    return list(zip(values[keep].tolist(), (greater[keep] / n).tolist()))

@@ -30,6 +30,78 @@ def charpoly_eigenvalues(m):
     return np.sort(roots.real)[::-1]
 
 
+def _jacobi_rotate(a, v, p, q):
+    apq = a[p, q]
+    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    s = t * c
+    col_p = a[:, p].copy()
+    col_q = a[:, q].copy()
+    a[:, p] = c * col_p - s * col_q
+    a[:, q] = s * col_p + c * col_q
+    row_p = a[p, :].copy()
+    row_q = a[q, :].copy()
+    a[p, :] = c * row_p - s * row_q
+    a[q, :] = s * row_p + c * row_q
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+    vp = v[:, p].copy()
+    vq = v[:, q].copy()
+    v[:, p] = c * vp - s * vq
+    v[:, q] = s * vp + c * vq
+
+
+def _off_norm(a):
+    off = a - np.diag(np.diag(a))
+    return float(np.sqrt((off * off).sum()))
+
+
+def jacobi_eigh(m, max_sweeps=100):
+    """Cyclic Jacobi eigendecomposition of a symmetric matrix, in pure Python.
+
+    Sweeps run until the off-diagonal Frobenius norm drops below 1e-12 * N.
+    Returns (eigenvalues descending, unit eigenvectors as columns in the same
+    order); signs and the order inside degenerate blocks are whatever the
+    sweeps leave. Shares no code with LAPACK.
+    """
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    v = np.eye(n)
+    tol = 1e-12 * n
+    skip = tol / (n * n)
+    for _ in range(max_sweeps):
+        if _off_norm(a) < tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p, q]) > skip:
+                    _jacobi_rotate(a, v, p, q)
+    else:
+        if _off_norm(a) >= tol:
+            raise RuntimeError(f"Jacobi did not converge within {max_sweeps} sweeps")
+    vals = np.diag(a).copy()
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], v[:, order]
+
+
+def tail_survival_loop(samples, side="positive"):
+    """Empirical CCDF (x, P(X > x)) by one count per unique value."""
+    x = np.asarray(samples, dtype=float)
+    if side == "negative":
+        x = -x
+    xs = np.sort(x)
+    values, first_idx = np.unique(xs, return_index=True)
+    n = xs.size
+    out = []
+    for v, idx in zip(values, first_idx):
+        # count strictly greater: everything after the last occurrence of v
+        greater = n - np.searchsorted(xs, v, side="right")
+        if greater > 0:
+            out.append((float(v), greater / n))
+    return out
+
+
 _PRUFER_CACHE = {}
 
 

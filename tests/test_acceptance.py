@@ -7,6 +7,8 @@ stdout so the verdicts are visible even under pytest's output capture.
 import math
 import os
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -16,6 +18,7 @@ from conftest import (
     make_assets,
     normalized_noise_panel,
     planted_group_panel,
+    planted_price_files,
     synthetic_price_files,
 )
 from fxnet.modes import decompose_modes, select_ng
@@ -242,3 +245,28 @@ def test_criterion_8_determinism_roundtrip(tmp_path, capfd):
     )
     ok = identical and roundtrip
     assert announce(capfd, 8, "determinism-roundtrip", ok), (identical, roundtrip)
+
+
+_PIPELINE_SCRIPT = """
+import sys
+from fxnet.report import PipelineConfig, run_pipeline
+run_pipeline(PipelineConfig(prices_path=sys.argv[1], metadata_path=sys.argv[2],
+                            out_dir=sys.argv[3], n_g="auto", surrogates=2))
+"""
+
+
+def test_determinism_with_two_blas_threads(tmp_path):
+    # BLAS reads its thread count once per process, so each run gets a fresh
+    # interpreter; at 150 x 750 BLAS splits its work across threads, and the
+    # files differ from those of a one-thread run
+    prices, meta, _ = planted_price_files(tmp_path, n=150, t=750, group_size=40)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out_dir = str(tmp_path / "out")  # report.json records out_dir
+    trees = []
+    for _ in range(2):
+        subprocess.run([sys.executable, "-c", _PIPELINE_SCRIPT, prices, meta, out_dir],
+                       env=env, check=True, timeout=300)
+        trees.append(snapshot_tree(out_dir))
+        shutil.rmtree(out_dir)
+    assert trees[0] and trees[0] == trees[1]

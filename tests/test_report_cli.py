@@ -203,6 +203,20 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert err.value.stage == "tails"
 
+    def test_lapack_failure_raises_spectrum_stage(self, tmp_path, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        prices, meta = synthetic_price_files(tmp_path)
+        cfg = PipelineConfig(
+            prices_path=prices, metadata_path=meta, out_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "spectrum"
+        assert isinstance(err.value.cause, np.linalg.LinAlgError)
+
     def test_auto_ng_on_planted_panel(self, tmp_path):
         prices, meta, _ = planted_price_files(tmp_path)
         cfg = PipelineConfig(
@@ -295,6 +309,20 @@ class TestCli:
                         ["--out-dir", out_dir, "--n-g", "2"]) == 0
         assert os.path.exists(os.path.join(out_dir, "threshold.net"))
         assert os.path.exists(os.path.join(out_dir, "sweep.csv"))
+
+    def test_default_ng_capped_like_report(self, inputs, capsys):
+        # the default --n-g 6 exceeds N - 1 = 3 on this 4-asset panel
+        prices, meta, tmp_path = inputs
+        dirs = {cmd: str(tmp_path / cmd) for cmd in ("decompose", "threshnet", "report")}
+        for cmd, out_dir in dirs.items():
+            extra = ["--surrogates", "1"] if cmd == "report" else []
+            assert cli_main([cmd] + self.base(prices, meta) +
+                            ["--out-dir", out_dir] + extra) == 0, cmd
+        assert "n_g=3" in capsys.readouterr().out
+        with open(os.path.join(dirs["decompose"], "c_group.csv"), "rb") as fh:
+            from_decompose = fh.read()
+        with open(os.path.join(dirs["report"], "c_group.csv"), "rb") as fh:
+            assert fh.read() == from_decompose
 
     def test_report(self, inputs, capsys):
         prices, meta, tmp_path = inputs

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import normalized_noise_panel, panel_from_returns
+from conftest import normalized_noise_panel, panel_from_returns, planted_group_panel
 from fxnet.market_data import PanelError, normalize_returns
 from fxnet.spectral import (
-    ConvergenceError,
     CorrelationMatrix,
     correlation_matrix,
     derive_seeds,
@@ -18,7 +17,7 @@ from fxnet.spectral import (
     rmt_bounds,
     shuffle_surrogate,
 )
-from oracles import charpoly_eigenvalues
+from oracles import charpoly_eigenvalues, jacobi_eigh
 
 
 def random_correlation(rng, n, t=400):
@@ -114,10 +113,38 @@ class TestEigendecompose:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
-    def test_sweep_budget_enforced(self, rng):
-        cm = random_correlation(rng, 8)
-        with pytest.raises(ConvergenceError):
-            eigendecompose(cm, max_sweeps=0)
+    def test_matches_jacobi_oracle_within_residual_bounds(self):
+        # The residuals r_j = |C v_j - l_j v_j| must be those of a backward
+        # stable solver, and the result must agree with an independent one:
+        # eigenvalues within the sum of the two residual norms (Weyl), each
+        # eigenvector within (r_j + r'_j) / gap_j (Davis-Kahan sin theta), so
+        # near-degenerate pairs get a loose bound instead of a fixed one.
+        # n * eps covers the rounding in evaluating the differences themselves.
+        eps = np.finfo(float).eps
+        for trial in range(40):
+            rng = np.random.default_rng([2, trial])
+            n = 2 + trial % 19  # sizes 2..20
+            if trial % 2:
+                rp, _ = planted_group_panel(rng, n=n, t=200, group_size=max(1, n // 3))
+            else:
+                rp = normalized_noise_panel(rng, n, 200 if trial % 4 else 3 * n)
+            cm = correlation_matrix(rp)
+            c = cm.values
+            sd = eigendecompose(cm)
+            lam, u = sd.eigenvalues, sd.eigenvectors.T / math.sqrt(n)
+            lam_ref, u_ref = jacobi_eigh(c)
+            r = np.linalg.norm(c @ u - u * lam, axis=0)
+            r_ref = np.linalg.norm(c @ u_ref - u_ref * lam_ref, axis=0)
+            assert np.linalg.norm(r) <= 10 * n * eps * np.linalg.norm(c, 2), (trial, n)
+            weyl = np.linalg.norm(r) + np.linalg.norm(r_ref)
+            assert np.abs(lam - lam_ref).max() <= weyl + n * eps, (trial, n)
+            for j in range(n):
+                gap = np.abs(np.delete(lam, j) - lam[j]).min() - 2 * weyl
+                if gap <= 0:
+                    continue
+                cos = u[:, j] @ u_ref[:, j]
+                sin = np.linalg.norm(u_ref[:, j] - cos * u[:, j])
+                assert sin <= (r[j] + r_ref[j]) / gap + n * eps, (trial, n, j)
 
     def test_planted_one_factor_scaling(self):
         lead = {}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fxnet.tails import (
     TailFitError,
@@ -9,7 +10,7 @@ from fxnet.tails import (
     hill_estimate,
     tail_survival,
 )
-from oracles import pareto_samples
+from oracles import pareto_samples, tail_survival_loop
 
 
 class TestHillEstimate:
@@ -86,7 +87,32 @@ class TestFitTailExponent:
         assert a1 == pytest.approx(a2, rel=1e-12)
 
 
+def _bits(points):
+    # hex strings tell -0.0 from 0.0, which == does not
+    return [(float(x).hex(), float(p).hex()) for x, p in points]
+
+
 class TestTailSurvival:
+    # Draws mix a small pool of values (ties, both signed zeros) with normal
+    # noise. numpy's sort leaves -0.0 and 0.0 in no fixed order, so which zero
+    # comes first in a run varies with the size and the draw.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1, max_size=6,
+        ),
+        size=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        side=st.sampled_from(["positive", "negative"]),
+    )
+    def test_matches_loop_oracle_bit_for_bit(self, pool, size, seed, side):
+        rng = np.random.default_rng(seed)
+        x = np.where(rng.random(size) < 0.5, rng.choice(pool, size),
+                     rng.standard_normal(size))
+        assert _bits(tail_survival(x, side)) == _bits(tail_survival_loop(x, side))
+
     def test_counting_fixture(self):
         out = tail_survival(np.array([1.0, 2.0, 3.0]), "positive")
         assert out == [(1.0, 2 / 3), (2.0, 1 / 3)]
