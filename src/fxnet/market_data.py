@@ -203,15 +203,10 @@ def parse_price_panel(
     return PricePanel(assets=assets, dates=tuple(dates), prices=prices)
 
 
-def compute_log_returns(
-    panel: PricePanel,
-    delta: int = 1,
-    peg_guard: float = PEG_GUARD_SIGMA,
-    population: bool = True,
-) -> ReturnPanel:
+def compute_log_returns(panel: PricePanel, delta: int = 1) -> ReturnPanel:
     """Sliding log-returns over `delta` rows, with per-asset volatility.
 
-    Volatility uses the population convention by default (divide by T).
+    Volatility uses the population convention (divide by T).
     """
     if delta < 1:
         raise PanelError(f"delta must be >= 1, got {delta}")
@@ -221,13 +216,12 @@ def compute_log_returns(
         )
     logp = np.log(panel.prices)
     returns = logp[:, delta:] - logp[:, :-delta]
-    ddof = 0 if population else 1
-    sigma = returns.std(axis=1, ddof=ddof)
-    pegged = np.flatnonzero(sigma < peg_guard)
+    sigma = returns.std(axis=1)
+    pegged = np.flatnonzero(sigma < PEG_GUARD_SIGMA)
     if pegged.size:
         codes = ", ".join(panel.assets[i].code for i in pegged)
         raise PeggedAssetError(
-            f"near-constant return series (sigma < {peg_guard:g}) for: {codes}"
+            f"near-constant return series (sigma < {PEG_GUARD_SIGMA:g}) for: {codes}"
         )
     return ReturnPanel(
         assets=panel.assets,
@@ -237,12 +231,12 @@ def compute_log_returns(
     )
 
 
-def normalize_returns(rp: ReturnPanel, peg_guard: float = PEG_GUARD_SIGMA) -> ReturnPanel:
+def normalize_returns(rp: ReturnPanel) -> ReturnPanel:
     """Divide each return row by its own volatility; retains the original sigma."""
     if rp.normalized:
         raise PanelError("return panel is already normalized")
-    if np.any(rp.sigma < peg_guard):
-        bad = np.flatnonzero(rp.sigma < peg_guard)
+    if np.any(rp.sigma < PEG_GUARD_SIGMA):
+        bad = np.flatnonzero(rp.sigma < PEG_GUARD_SIGMA)
         codes = ", ".join(rp.assets[i].code for i in bad)
         raise PeggedAssetError(f"cannot normalize zero-volatility series for: {codes}")
     return replace(rp, returns=_freeze(rp.returns / rp.sigma[:, None]), normalized=True)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .market_data import _freeze
 from .spectral import RmtBounds, SpectralDecomposition
 
 DEFAULT_N_GROUP = 6
@@ -17,12 +18,6 @@ class ModeDecomposition:
     c_global: np.ndarray
     c_group: np.ndarray
     c_random: np.ndarray
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 def _mode_sum(sd: SpectralDecomposition, start: int, stop: int) -> np.ndarray:

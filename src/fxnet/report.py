@@ -1,12 +1,18 @@
-"""Pipeline orchestration and serialization of all artifacts."""
+"""Pipeline stages, their orchestration and the serialization of all artifacts.
+
+Each stage function raises StageError naming its stage. `run_pipeline` calls
+them in order; the `fxnet` subcommands call the ones their files need.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-import math
 import os
-from dataclasses import dataclass, field
-from typing import Any
+import re
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -22,18 +28,7 @@ BULK_MARGIN = 0.05
 DEFAULT_HISTOGRAM_BINS = 51
 DEFAULT_SURROGATES = 10
 DEFAULT_SEED = 20120430
-
-STAGES = (
-    "ingest",
-    "returns",
-    "tails",
-    "correlation",
-    "spectrum",
-    "surrogates",
-    "decomposition",
-    "network",
-    "export",
-)
+THRESHOLD_GRID_POINTS = 40
 
 
 class StageError(RuntimeError):
@@ -59,22 +54,6 @@ class PipelineConfig:
     seed: int = DEFAULT_SEED
     hub_sigma: float = network.DEFAULT_HUB_SIGMA
     histogram_bins: int = DEFAULT_HISTOGRAM_BINS
-
-    def echo(self) -> dict[str, Any]:
-        return {
-            "prices_path": self.prices_path,
-            "metadata_path": self.metadata_path,
-            "out_dir": self.out_dir,
-            "delta": self.delta,
-            "fill_limit": self.fill_limit,
-            "tail_fraction": self.tail_fraction,
-            "n_g": self.n_g,
-            "c_th": self.c_th,
-            "surrogates": self.surrogates,
-            "seed": self.seed,
-            "hub_sigma": self.hub_sigma,
-            "histogram_bins": self.histogram_bins,
-        }
 
 
 @dataclass
@@ -104,13 +83,37 @@ def _round_floats(obj: Any) -> Any:
     return obj
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _label(text: str) -> str:
+    """A label cell, quoted the CSV way if it holds a comma, quote or line break."""
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """LF-terminated CSV. A str cell is a label (see `_label`); any other cell
+    is a number printed to 12 significant digits. Every row has the cell
+    kinds of the first."""
+    lines = [",".join(map(_label, header))]
+    fmt, labels = None, []
+    for row in rows:
+        if fmt is None:
+            labels = [k for k, cell in enumerate(row) if isinstance(cell, str)]
+            fmt = ",".join("%s" if isinstance(cell, str) else "%.12g" for cell in row)
+        if labels:
+            row = list(row)
+            for k in labels:
+                row[k] = _label(row[k])
+        lines.append(fmt % tuple(row))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def export_json_report(report: AnalysisReport | dict[str, Any], path: str) -> None:
@@ -160,54 +163,257 @@ def export_histogram_csv(
     """One histogram -> `bin_center,density`; a dict of component name ->
     histogram adds a trailing `component` column."""
     if isinstance(histograms, dict):
-        lines = ["bin_center,density,component"]
-        for component, hist in histograms.items():
-            for center, density in hist:
-                lines.append(f"{_fmt(center)},{_fmt(density)},{component}")
+        rows = [(c, d, name) for name, hist in histograms.items() for c, d in hist]
+        _write_csv(path, ["bin_center", "density", "component"], rows)
     else:
-        lines = ["bin_center,density"]
-        for center, density in histograms:
-            lines.append(f"{_fmt(center)},{_fmt(density)}")
-    _write_text(path, "\n".join(lines) + "\n")
+        _write_csv(path, ["bin_center", "density"], histograms)
 
 
 def export_ccdf_csv(points: list[tuple[float, float]], path: str) -> None:
-    lines = ["x,ccdf"]
-    for x, p in points:
-        lines.append(f"{_fmt(x)},{_fmt(p)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, ["x", "ccdf"], points)
 
 
 def export_spectrum_csv(sd: SpectralDecomposition, path: str) -> None:
-    lines = ["index,eigenvalue"]
-    for j, lam in enumerate(sd.eigenvalues):
-        lines.append(f"{j},{_fmt(lam)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, ["index", "eigenvalue"], enumerate(sd.eigenvalues.tolist()))
 
 
 def export_eigenvectors_csv(
     sd: SpectralDecomposition, assets: tuple[AssetMeta, ...], path: str
 ) -> None:
-    lines = ["index," + ",".join(a.code for a in assets)]
-    for j in range(sd.size):
-        row = ",".join(_fmt(x) for x in sd.eigenvectors[j])
-        lines.append(f"{j},{row}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = [(j, *u) for j, u in enumerate(sd.eigenvectors.tolist())]
+    _write_csv(path, ["index", *(a.code for a in assets)], rows)
 
 
 def export_matrix_csv(m: np.ndarray, assets: tuple[AssetMeta, ...], path: str) -> None:
-    lines = ["code," + ",".join(a.code for a in assets)]
-    for i, a in enumerate(assets):
-        lines.append(a.code + "," + ",".join(_fmt(x) for x in m[i]))
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = [(a.code, *r) for a, r in zip(assets, np.asarray(m).tolist())]
+    _write_csv(path, ["code", *(a.code for a in assets)], rows)
 
 
 def export_sweep_csv(sweep: SweepResult, path: str) -> None:
-    lines = ["c_th,n_active,n_components,clustered,sizes"]
-    for e in sweep.entries:
-        sizes = ";".join(str(s) for s in e.sizes)
-        lines.append(f"{_fmt(e.c_th)},{e.n_active},{e.n_components},{e.clustered},{sizes}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = [
+        (e.c_th, e.n_active, e.n_components, e.clustered, ";".join(map(str, e.sizes)))
+        for e in sweep.entries
+    ]
+    _write_csv(path, ["c_th", "n_active", "n_components", "clustered", "sizes"], rows)
+
+
+# ---------------------------------------------------------------------------
+# groups of output files; `out(rel)` gives the path of output file `rel`
+# (see write_files)
+
+PathFor = Callable[[str], str]
+
+
+def write_returns(out: PathFor, rp: ReturnPanel) -> None:
+    codes = [a.code for a in rp.assets]
+    rows = [(c, *r) for c, r in zip(codes, rp.returns.tolist())]
+    _write_csv(out("returns.csv"), ["code", *(f"t{k}" for k in range(rp.n_steps))], rows)
+    _write_csv(out("sigma.csv"), ["code", "sigma"], zip(codes, rp.sigma.tolist()))
+
+
+def write_ccdfs(out: PathFor, rp: ReturnPanel, template: str) -> None:
+    """The empirical CCDF of each tail of each asset, one file per series,
+    at template.format(f"{code}_{side}")."""
+    for meta, row in zip(rp.assets, rp.returns):
+        for side in tails.SIDES:
+            path = out(template.format(f"{meta.code}_{side}"))
+            export_ccdf_csv(tails.tail_survival(row, side), path)
+
+
+def write_spectrum(
+    out: PathFor, assets: tuple[AssetMeta, ...], cm: CorrelationMatrix, sd: SpectralDecomposition
+) -> None:
+    export_spectrum_csv(sd, out("spectrum.csv"))
+    export_eigenvectors_csv(sd, assets, out("eigenvectors.csv"))
+    export_matrix_csv(cm.values, assets, out("correlation.csv"))
+
+
+def write_modes(
+    out: PathFor,
+    assets: tuple[AssetMeta, ...],
+    md: ModeDecomposition,
+    hists: dict[str, list[tuple[float, float]]],
+) -> None:
+    for part in ("global", "group", "random"):
+        export_matrix_csv(getattr(md, f"c_{part}"), assets, out(f"c_{part}.csv"))
+    export_histogram_csv(hists, out("histograms.csv"))
+
+
+def write_graph(out: PathFor, g: Graph, sweep: SweepResult | None = None) -> None:
+    """`<kind>.net` and `<kind>.json`, plus `sweep.csv` for a swept cutoff."""
+    export_pajek(g, out(f"{g.kind}.net"))
+    export_graph_json(g, out(f"{g.kind}.json"))
+    if sweep is not None:
+        export_sweep_csv(sweep, out("sweep.csv"))
+
+
+# ---------------------------------------------------------------------------
+# stages
+
+def _stage(name: str):
+    """Decorator: any failure inside the function is raised as StageError(name)."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except StageError:
+                raise
+            except Exception as exc:
+                raise StageError(name, exc) from exc
+
+        return run
+
+    return decorate
+
+
+@_stage("ingest")
+def read_panel(prices_path: str, metadata_path: str, fill_limit: int) -> PricePanel:
+    with open(prices_path, "r", encoding="utf-8") as fh:
+        raw_prices = fh.read()
+    with open(metadata_path, "r", encoding="utf-8") as fh:
+        raw_meta = fh.read()
+    return market_data.parse_price_panel(raw_prices, raw_meta, fill_limit)
+
+
+@_stage("returns")
+def panel_returns(panel: PricePanel, delta: int) -> ReturnPanel:
+    return market_data.normalize_returns(market_data.compute_log_returns(panel, delta))
+
+
+@_stage("tails")
+def fit_tails(rp: ReturnPanel, tail_fraction: float) -> list[dict[str, Any]]:
+    """Per asset: its code and, under each side, the Hill fit of that tail."""
+    records = []
+    for meta, row in zip(rp.assets, rp.returns):
+        record: dict[str, Any] = {"code": meta.code}
+        for side in tails.SIDES:
+            fit = tails.fit_tail_exponent(row, side, tail_fraction)
+            record[side] = {
+                "alpha": fit.alpha,
+                "tail_fraction": fit.tail_fraction,
+                "k": fit.k,
+                "x_min": fit.x_min,
+            }
+        records.append(record)
+    return records
+
+
+@_stage("correlation")
+def correlate(rp: ReturnPanel) -> CorrelationMatrix:
+    return spectral.correlation_matrix(rp)
+
+
+@_stage("spectrum")
+def spectrum(cm: CorrelationMatrix, n_steps: int) -> tuple[SpectralDecomposition, RmtBounds]:
+    return spectral.eigendecompose(cm), spectral.rmt_bounds(cm.size, n_steps)
+
+
+@_stage("surrogates")
+def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -> dict[str, Any]:
+    lo = bounds.lambda_min - BULK_MARGIN
+    hi = bounds.lambda_max + BULK_MARGIN
+    all_vals: list[np.ndarray] = []
+    pooled: list[np.ndarray] = []
+    for s in spectral.derive_seeds(seed, count):
+        surrogate = spectral.shuffle_surrogate(rp, s)
+        ssd = spectral.eigendecompose(spectral.correlation_matrix(surrogate))
+        all_vals.append(ssd.eigenvalues)
+        bulk = [j for j, lam in enumerate(ssd.eigenvalues) if lo <= lam <= hi]
+        pooled.append(spectral.eigenvector_component_sample(ssd, bulk))
+    if not all_vals:
+        return {"count": 0, "seed": seed}
+    vals = np.concatenate(all_vals)
+    components = np.concatenate(pooled)
+    ks = stats.kstest(components, "norm").statistic if components.size else None
+    return {
+        "count": count,
+        "seed": seed,
+        "bulk_low": lo,
+        "bulk_high": hi,
+        "bulk_fraction": float(np.mean((vals >= lo) & (vals <= hi))),
+        "ks_statistic": float(ks) if ks is not None else None,
+    }
+
+
+@_stage("decomposition")
+def decompose(
+    sd: SpectralDecomposition, bounds: RmtBounds, n_g: int | str
+) -> tuple[ModeDecomposition, int]:
+    """The global/group/random split and select_ng's count. n_g is "auto"
+    (that count) or an integer, capped at N - 1 so that the default of 6
+    still works on small panels."""
+    n_g_auto = modes.select_ng(sd, bounds)
+    n_g_used = n_g_auto if n_g == "auto" else min(int(n_g), sd.size - 1)
+    return modes.decompose_modes(sd, n_g_used), n_g_auto
+
+
+def _parts(cm: CorrelationMatrix, md: ModeDecomposition) -> dict[str, np.ndarray]:
+    return {"full": cm.values, "global": md.c_global, "group": md.c_group, "random": md.c_random}
+
+
+@_stage("decomposition")
+def histograms(
+    cm: CorrelationMatrix, md: ModeDecomposition, bins: int
+) -> dict[str, list[tuple[float, float]]]:
+    """Element histograms of C and of each of its three parts."""
+    return {name: modes.element_histogram(m, bins) for name, m in _parts(cm, md).items()}
+
+
+def default_threshold_grid(c_group: np.ndarray) -> np.ndarray:
+    """Evenly spaced cutoffs from just above 0 up to the largest off-diagonal
+    element (where the network empties out)."""
+    n = c_group.shape[0]
+    off = c_group[np.triu_indices(n, k=1)]
+    top = float(off.max())
+    if top <= 0:
+        return np.array([0.0])
+    return np.linspace(0.0, top, THRESHOLD_GRID_POINTS + 1)[1:]
+
+
+@_stage("network")
+def build_mst(
+    cm: CorrelationMatrix, assets: tuple[AssetMeta, ...], hub_sigma: float
+) -> tuple[Graph, ClusterReport]:
+    mst = network.minimum_spanning_tree(network.mantegna_distance(cm), assets)
+    return mst, network.cluster_report(mst, hub_sigma)
+
+
+@_stage("network")
+def build_threshold(
+    c_group: np.ndarray, assets: tuple[AssetMeta, ...], c_th: float | str, hub_sigma: float
+) -> tuple[Graph, ClusterReport, SweepResult | None, float]:
+    """The threshold network at c_th, a real or "auto" (the recommended cutoff
+    of a sweep over default_threshold_grid), its report, the sweep (None for
+    a given cutoff) and the cutoff used."""
+    sweep = None
+    if c_th == "auto":
+        sweep = network.threshold_sweep(c_group, default_threshold_grid(c_group), assets)
+        c_th = sweep.recommended
+    tnet = network.threshold_network(c_group, float(c_th), assets)
+    return tnet, network.cluster_report(tnet, hub_sigma), sweep, float(c_th)
+
+
+@_stage("export")
+def write_files(out_dir: str, write: Callable[[PathFor], None]) -> None:
+    """Call write(out), where out(rel) makes the directory of out_dir/rel and
+    returns that path. If write fails, the files it was given are removed."""
+    written: list[str] = []
+
+    def out(rel: str) -> str:
+        path = os.path.join(out_dir, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        written.append(path)
+        return path
+
+    try:
+        write(out)
+    except Exception:
+        for path in written:
+            if os.path.exists(path):
+                os.unlink(path)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +430,6 @@ def _cluster_summary(report: ClusterReport, g: Graph) -> dict[str, Any]:
         "isolated": [codes[i] for i in report.isolated],
         "hubs": [{"code": codes[i], "degree": d} for i, d in report.hubs],
     }
-
-
-def default_threshold_grid(c_group: np.ndarray, points: int = 40) -> np.ndarray:
-    """Evenly spaced cutoffs from just above 0 up to the largest off-diagonal
-    element (where the network empties out)."""
-    n = c_group.shape[0]
-    off = c_group[np.triu_indices(n, k=1)]
-    top = float(off.max())
-    if top <= 0:
-        return np.array([0.0])
-    return np.linspace(0.0, top, points + 1)[1:]
 
 
 def _element_stats(m: np.ndarray) -> dict[str, float]:
@@ -254,125 +449,17 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
     Any stage failure raises StageError naming the stage; files already
     written for this run are removed first.
     """
-
-    def stage(name: str, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-
-    def read_inputs() -> tuple[str, str]:
-        with open(cfg.prices_path, "r", encoding="utf-8") as fh:
-            raw_prices = fh.read()
-        with open(cfg.metadata_path, "r", encoding="utf-8") as fh:
-            raw_meta = fh.read()
-        return raw_prices, raw_meta
-
-    raw_prices, raw_meta = stage("ingest", read_inputs)
-    panel: PricePanel = stage(
-        "ingest", market_data.parse_price_panel, raw_prices, raw_meta, cfg.fill_limit
-    )
-    rp_raw: ReturnPanel = stage(
-        "returns", market_data.compute_log_returns, panel, cfg.delta
-    )
-    rp: ReturnPanel = stage("returns", market_data.normalize_returns, rp_raw)
-
-    def fit_tails() -> tuple[list[dict[str, Any]], dict[str, list[tuple[float, float]]]]:
-        fits = []
-        ccdfs: dict[str, list[tuple[float, float]]] = {}
-        for i, meta in enumerate(rp.assets):
-            row = rp.returns[i]
-            record: dict[str, Any] = {"code": meta.code}
-            for side in tails.SIDES:
-                fit = tails.fit_tail_exponent(row, side, cfg.tail_fraction)
-                record[side] = {
-                    "alpha": fit.alpha,
-                    "tail_fraction": fit.tail_fraction,
-                    "k": fit.k,
-                    "x_min": fit.x_min,
-                }
-                ccdfs[f"{meta.code}_{side}"] = tails.tail_survival(row, side)
-            fits.append(record)
-        return fits, ccdfs
-
-    tail_fits, ccdfs = stage("tails", fit_tails)
-
-    cm: CorrelationMatrix = stage("correlation", spectral.correlation_matrix, rp)
-    sd: SpectralDecomposition = stage("spectrum", spectral.eigendecompose, cm)
-    bounds: RmtBounds = stage(
-        "spectrum", spectral.rmt_bounds, rp.n_assets, rp.n_steps
-    )
-
-    def surrogate_stats() -> dict[str, Any]:
-        lo = bounds.lambda_min - BULK_MARGIN
-        hi = bounds.lambda_max + BULK_MARGIN
-        seeds = spectral.derive_seeds(cfg.seed, cfg.surrogates)
-        all_vals: list[np.ndarray] = []
-        pooled: list[np.ndarray] = []
-        for s in seeds:
-            surrogate = spectral.shuffle_surrogate(rp, s)
-            scm = spectral.correlation_matrix(surrogate)
-            ssd = spectral.eigendecompose(scm)
-            all_vals.append(ssd.eigenvalues)
-            bulk = [j for j, lam in enumerate(ssd.eigenvalues) if lo <= lam <= hi]
-            pooled.append(spectral.eigenvector_component_sample(ssd, bulk))
-        if not all_vals:
-            return {"count": 0, "seed": cfg.seed}
-        vals = np.concatenate(all_vals)
-        components = np.concatenate(pooled)
-        ks = stats.kstest(components, "norm").statistic if components.size else None
-        return {
-            "count": cfg.surrogates,
-            "seed": cfg.seed,
-            "bulk_low": lo,
-            "bulk_high": hi,
-            "bulk_fraction": float(np.mean((vals >= lo) & (vals <= hi))),
-            "ks_statistic": float(ks) if ks is not None else None,
-        }
-
-    surrogate_summary = stage("surrogates", surrogate_stats)
-
-    def decompose() -> tuple[ModeDecomposition, int, int]:
-        n_g_auto = modes.select_ng(sd, bounds)
-        if cfg.n_g == "auto":
-            n_g_used = n_g_auto
-        else:
-            # cap so the catalogue default of 6 still works on small panels
-            n_g_used = min(int(cfg.n_g), rp.n_assets - 1)
-        return modes.decompose_modes(sd, n_g_used), n_g_used, n_g_auto
-
-    md, n_g_used, n_g_auto = stage("decomposition", decompose)
-
-    hist_inputs = {
-        "full": cm.values,
-        "global": md.c_global,
-        "group": md.c_group,
-        "random": md.c_random,
-    }
-    histograms = {
-        name: stage("decomposition", modes.element_histogram, m, cfg.histogram_bins)
-        for name, m in hist_inputs.items()
-    }
-
-    def build_networks() -> tuple[Graph, ClusterReport, Graph, ClusterReport, SweepResult | None, float]:
-        d = network.mantegna_distance(cm)
-        mst = network.minimum_spanning_tree(d, rp.assets)
-        mst_report = network.cluster_report(mst, cfg.hub_sigma)
-        sweep = None
-        if cfg.c_th == "auto":
-            grid = default_threshold_grid(md.c_group)
-            sweep = network.threshold_sweep(md.c_group, grid, rp.assets)
-            c_th_used = sweep.recommended
-        else:
-            c_th_used = float(cfg.c_th)
-        tnet = network.threshold_network(md.c_group, c_th_used, rp.assets)
-        tnet_report = network.cluster_report(tnet, cfg.hub_sigma)
-        return mst, mst_report, tnet, tnet_report, sweep, c_th_used
-
-    mst, mst_report, tnet, tnet_report, sweep, c_th_used = stage(
-        "network", build_networks
+    panel = read_panel(cfg.prices_path, cfg.metadata_path, cfg.fill_limit)
+    rp = panel_returns(panel, cfg.delta)
+    tail_fits = fit_tails(rp, cfg.tail_fraction)
+    cm = correlate(rp)
+    sd, bounds = spectrum(cm, rp.n_steps)
+    surrogate_summary = surrogate_stats(rp, bounds, cfg.seed, cfg.surrogates)
+    md, n_g_auto = decompose(sd, bounds, cfg.n_g)
+    hists = histograms(cm, md, cfg.histogram_bins)
+    mst, mst_report = build_mst(cm, rp.assets, cfg.hub_sigma)
+    tnet, tnet_report, sweep, c_th_used = build_threshold(
+        md.c_group, rp.assets, cfg.c_th, cfg.hub_sigma
     )
 
     u0 = sd.eigenvectors[0]
@@ -388,7 +475,7 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
 
     payload: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "config": cfg.echo(),
+        "config": dataclasses.asdict(cfg),
         "panel": {
             "n_assets": rp.n_assets,
             "n_dates": panel.n_dates,
@@ -400,18 +487,14 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
         "tail_fits": tail_fits,
         "spectrum": {
             "eigenvalues": [float(x) for x in sd.eigenvalues],
-            "rmt": {
-                "q": bounds.q,
-                "lambda_min": bounds.lambda_min,
-                "lambda_max": bounds.lambda_max,
-            },
+            "rmt": dataclasses.asdict(bounds),
         },
         "leading_mode": leading_mode,
         "surrogates": surrogate_summary,
         "modes": {
-            "n_g_used": n_g_used,
+            "n_g_used": md.n_g,
             "n_g_auto": n_g_auto,
-            "element_stats": {k: _element_stats(v) for k, v in hist_inputs.items()},
+            "element_stats": {k: _element_stats(v) for k, v in _parts(cm, md).items()},
         },
         "graphs": {
             "mst": _cluster_summary(mst_report, mst),
@@ -424,39 +507,13 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
     }
     report = AnalysisReport(payload=payload)
 
-    def write_outputs() -> None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        ccdf_dir = os.path.join(cfg.out_dir, "ccdf")
-        os.makedirs(ccdf_dir, exist_ok=True)
-        written: list[str] = []
+    def write(out: PathFor) -> None:
+        export_json_report(report, out("report.json"))
+        write_spectrum(out, rp.assets, cm, sd)
+        write_modes(out, rp.assets, md, hists)
+        write_graph(out, mst)
+        write_graph(out, tnet, sweep)
+        write_ccdfs(out, rp, os.path.join("ccdf", "{}.csv"))
 
-        def out(rel: str) -> str:
-            path = os.path.join(cfg.out_dir, rel)
-            written.append(path)
-            return path
-
-        try:
-            export_json_report(report, out("report.json"))
-            export_spectrum_csv(sd, out("spectrum.csv"))
-            export_eigenvectors_csv(sd, rp.assets, out("eigenvectors.csv"))
-            export_matrix_csv(cm.values, rp.assets, out("correlation.csv"))
-            export_matrix_csv(md.c_global, rp.assets, out("c_global.csv"))
-            export_matrix_csv(md.c_group, rp.assets, out("c_group.csv"))
-            export_matrix_csv(md.c_random, rp.assets, out("c_random.csv"))
-            export_histogram_csv(histograms, out("histograms.csv"))
-            export_pajek(mst, out("mst.net"))
-            export_graph_json(mst, out("mst.json"))
-            export_pajek(tnet, out("threshold.net"))
-            export_graph_json(tnet, out("threshold.json"))
-            if sweep is not None:
-                export_sweep_csv(sweep, out("sweep.csv"))
-            for name, points in ccdfs.items():
-                export_ccdf_csv(points, out(os.path.join("ccdf", f"{name}.csv")))
-        except Exception:
-            for path in written:
-                if os.path.exists(path):
-                    os.unlink(path)
-            raise
-
-    stage("export", write_outputs)
+    write_files(cfg.out_dir, write)
     return report

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .market_data import ReturnPanel, PanelError
+from .market_data import PanelError, ReturnPanel, _freeze
 
 SYMMETRY_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
@@ -55,12 +55,6 @@ class RmtBounds:
     q: float
     lambda_min: float
     lambda_max: float
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 def correlation_matrix(rp: ReturnPanel) -> CorrelationMatrix:

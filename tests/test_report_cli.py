@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_assets, planted_price_files, synthetic_price_files
 from fxnet.cli import main as cli_main
@@ -11,6 +12,7 @@ from fxnet.report import (
     AnalysisReport,
     PipelineConfig,
     StageError,
+    export_ccdf_csv,
     export_histogram_csv,
     export_json_report,
     export_pajek,
@@ -347,3 +349,140 @@ class TestCli:
                          "--tail-fraction", "0.9"])
         assert code == 1
         assert "error [tails]" in capsys.readouterr().err
+
+
+def _all_files(root):
+    return {
+        os.path.relpath(os.path.join(d, f), root): os.path.join(d, f)
+        for d, _, files in os.walk(root)
+        for f in files
+    }
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+class TestSubcommandsMatchReport:
+    """Each subcommand runs the pipeline's own stage functions, so every file
+    it shares with `report` must be byte-identical to report's copy."""
+
+    SUBCOMMANDS = ("returns", "tails", "spectrum", "decompose", "mst", "threshnet")
+
+    def test_shared_files_byte_identical(self, tmp_path, capsys):
+        prices, meta = synthetic_price_files(tmp_path)
+        io_args = ["--prices", prices, "--metadata", meta]
+        rep_dir = str(tmp_path / "report")
+        assert cli_main(["report", *io_args, "--out-dir", rep_dir,
+                         "--surrogates", "1"]) == 0
+        from_report = _all_files(rep_dir)
+        compared = {}
+        for cmd in self.SUBCOMMANDS:
+            out_dir = str(tmp_path / cmd)
+            assert cli_main([cmd, *io_args, "--out-dir", out_dir]) == 0, cmd
+            for rel, path in _all_files(out_dir).items():
+                if rel.startswith("ccdf_"):
+                    rel = os.path.join("ccdf", rel[len("ccdf_"):])
+                if rel in from_report:
+                    assert _read_bytes(path) == _read_bytes(from_report[rel]), (cmd, rel)
+                    compared.setdefault(cmd, []).append(rel)
+        # every file report writes, except report.json, has a subcommand twin
+        assert set(from_report) - {"report.json"} == {
+            rel for rels in compared.values() for rel in rels
+        }
+        assert set(compared) == set(self.SUBCOMMANDS) - {"returns"}
+
+
+def _corrupt_prices(prices, meta):
+    with open(prices, "a", encoding="utf-8") as fh:
+        fh.write("2099-01-01,1.0\n")  # too few fields
+
+
+def _drop_metadata(prices, meta):
+    os.unlink(meta)
+
+
+@pytest.mark.parametrize(
+    "argv, damage, stage",
+    [
+        (["tails", "--tail-fraction", "0.9"], None, "tails"),
+        (["spectrum"], _corrupt_prices, "ingest"),
+        (["mst"], _drop_metadata, "ingest"),
+        (["returns", "--delta", "0"], None, "returns"),
+        (["decompose", "--n-g", "-1"], None, "decomposition"),
+        (["threshnet", "--n-g", "-1"], None, "decomposition"),
+        (["report", "--surrogates", "1", "--tail-fraction", "0.9"], None, "tails"),
+    ],
+)
+def test_subcommand_failure_names_its_stage(tmp_path, capsys, argv, damage, stage):
+    prices, meta = synthetic_price_files(tmp_path)
+    if damage is not None:
+        damage(prices, meta)
+    code = cli_main([argv[0], "--prices", prices, "--metadata", meta,
+                     "--out-dir", str(tmp_path / "out"), *argv[1:]])
+    assert code == 1
+    assert f"error [{stage}]" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def _quoted_code_files(tmp_path, codes, n_dates=300, seed=3):
+    """Price and metadata CSVs, written with the csv module, whose asset codes
+    need CSV quoting."""
+    import csv
+    import datetime
+
+    rng = np.random.default_rng(seed)
+    logp = np.cumsum(rng.standard_normal((n_dates, len(codes))) * 0.01, axis=0)
+    start = datetime.date(2020, 1, 1)
+    prices, meta = str(tmp_path / "prices.csv"), str(tmp_path / "meta.csv")
+    with open(prices, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["date", *codes])
+        for k, row in enumerate(np.exp(logp)):
+            day = (start + datetime.timedelta(days=k)).isoformat()
+            w.writerow([day, *(f"{p:.8f}" for p in row)])
+    with open(meta, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["index", "code", "name", "market_class", "region"])
+        for i, code in enumerate(codes):
+            w.writerow([i + 1, code, f"name {i}", "developed", "Test"])
+    return prices, meta
+
+
+def test_codes_needing_quotes_round_trip_through_every_csv(tmp_path):
+    import csv
+
+    codes = ["A", "B,B", "C", 'D"D']
+    prices, meta = _quoted_code_files(tmp_path, codes)
+    out_dir = str(tmp_path / "out")
+    assert cli_main(["report", "--prices", prices, "--metadata", meta,
+                     "--out-dir", out_dir, "--surrogates", "1"]) == 0
+    ret_dir = str(tmp_path / "ret")
+    assert cli_main(["returns", "--prices", prices, "--metadata", meta,
+                     "--out-dir", ret_dir]) == 0
+    files = {**_all_files(out_dir), **_all_files(ret_dir)}
+    csvs = {rel: path for rel, path in files.items() if rel.endswith(".csv")}
+    assert len(csvs) == 8 + 8 + 2  # top-level, CCDF and return files
+    matrices = ("correlation.csv", "c_global.csv", "c_group.csv", "c_random.csv")
+    for rel, path in csvs.items():
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        widths = {len(row) for row in rows}
+        assert widths == {len(rows[0])}, rel
+        if rel in matrices or rel == "eigenvectors.csv":
+            assert rows[0][1:] == codes, rel
+            assert widths == {len(codes) + 1}, rel
+        if rel in matrices or rel in ("returns.csv", "sigma.csv"):
+            assert [row[0] for row in rows[1:]] == codes, rel
+
+
+@given(st.lists(st.one_of(st.floats(), st.integers(-10**6, 10**6)), min_size=2,
+                max_size=40))
+def test_csv_numbers_keep_12_significant_digits(tmp_path_factory, values):
+    path = str(tmp_path_factory.mktemp("csv") / "ccdf.csv")
+    points = list(zip(values[::2], values[1::2]))
+    export_ccdf_csv(points, path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines == ["x,ccdf"] + [f"{float(x):.12g},{float(p):.12g}" for x, p in points]
