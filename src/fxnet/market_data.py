@@ -74,38 +74,54 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _csv_rows(reader, table: str):
+    """The rows of `reader`; a line the csv module cannot split (a field over
+    its size limit, a carriage return inside an unquoted field) is a
+    PanelError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise PanelError(f"{table} line {reader.line_num}: {exc}") from None
+
+
 def parse_asset_metadata(text: str) -> dict[str, AssetMeta]:
     """Parse `index,code,name,market_class,region` rows into a code -> meta map."""
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text))
+    records = _csv_rows(reader, "metadata")
     expected = ["index", "code", "name", "market_class", "region"]
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
-        raise PanelError(
-            f"metadata header must be {','.join(expected)!r}, got {reader.fieldnames}"
-        )
+    header = next(records, None)
+    if header is None or [f.strip() for f in header] != expected:
+        raise PanelError(f"metadata header must be {','.join(expected)!r}, got {header}")
     metas: dict[str, AssetMeta] = {}
     indices: list[int] = []
-    for row in reader:
-        code = row["code"].strip()
+    for row in records:
+        if not row:
+            continue
+        if len(row) < len(expected):
+            raise PanelError(
+                f"metadata line {reader.line_num}: expected {len(expected)} fields, "
+                f"got {len(row)}"
+            )
+        raw_index, code, name, raw_class, region = row[: len(expected)]
+        code = code.strip()
         if not code:
             raise PanelError("empty asset code in metadata")
         if code in metas:
             raise PanelError(f"duplicate asset code in metadata: {code}")
-        market_class = row["market_class"].strip().lower()
+        market_class = raw_class.strip().lower()
         if market_class not in MARKET_CLASSES:
-            raise PanelError(
-                f"unknown market class {row['market_class']!r} for {code}"
-            )
+            raise PanelError(f"unknown market class {raw_class!r} for {code}")
         try:
-            index = int(row["index"])
+            index = int(raw_index)
         except ValueError as exc:
-            raise PanelError(f"non-integer index for {code}: {row['index']!r}") from exc
+            raise PanelError(f"non-integer index for {code}: {raw_index!r}") from exc
         indices.append(index)
         metas[code] = AssetMeta(
             index=index,
             code=code,
-            name=row["name"].strip(),
+            name=name.strip(),
             market_class=market_class,
-            region=row["region"].strip(),
+            region=region.strip(),
         )
     if not metas:
         raise PanelError("metadata file contains no assets")
@@ -126,11 +142,10 @@ def parse_price_panel(
     surviving panel stays cross-sectionally aligned.
     """
     metas = parse_asset_metadata(meta)
-    reader = csv.reader(io.StringIO(raw_table))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PanelError("empty price table") from None
+    records = _csv_rows(csv.reader(io.StringIO(raw_table)), "price table")
+    header = next(records, None)
+    if header is None:
+        raise PanelError("empty price table")
     if not header or header[0].strip().lower() != "date":
         raise PanelError("price table header must start with 'date'")
     codes = [c.strip() for c in header[1:]]
@@ -150,7 +165,7 @@ def parse_price_panel(
     seen_dates: set[datetime.date] = set()
     prev_date: datetime.date | None = None
 
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(records, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != n + 1:

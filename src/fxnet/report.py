@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import market_data, modes, network, spectral, tails
 from .market_data import AssetMeta, PricePanel, ReturnPanel
@@ -127,10 +126,13 @@ def export_json_report(report: AnalysisReport | dict[str, Any], path: str) -> No
 
 def export_pajek(g: Graph, path: str) -> None:
     """Pajek .net file: vertex list in panel order, then the weighted edges
-    with 1-based endpoints and 6-decimal weights."""
+    with 1-based endpoints and 6-decimal weights. A label is written inside
+    double quotes with `\\` and `"` backslash-escaped, so that a shell-style
+    split (the rule Pajek readers such as networkx use) gives the code back."""
     lines = [f"*Vertices {g.n_nodes}"]
     for idx, meta in g.nodes:
-        lines.append(f'{idx + 1} "{meta.code}"')
+        label = meta.code.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'{idx + 1} "{label}"')
     lines.append("*Edges")
     for i, j, w in g.edges:
         lines.append(f"{i + 1} {j + 1} {w:.6f}")
@@ -326,14 +328,14 @@ def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -
         return {"count": 0, "seed": seed}
     vals = np.concatenate(all_vals)
     components = np.concatenate(pooled)
-    ks = stats.kstest(components, "norm").statistic if components.size else None
+    ks = spectral.normal_ks_statistic(components) if components.size else None
     return {
         "count": count,
         "seed": seed,
         "bulk_low": lo,
         "bulk_high": hi,
         "bulk_fraction": float(np.mean((vals >= lo) & (vals <= hi))),
-        "ks_statistic": float(ks) if ks is not None else None,
+        "ks_statistic": ks,
     }
 
 

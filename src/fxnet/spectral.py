@@ -139,6 +139,19 @@ def porter_thomas_density(u: float) -> float:
     return math.exp(-u * u / 2.0) / math.sqrt(2.0 * math.pi)
 
 
+def normal_ks_statistic(sample: np.ndarray) -> float:
+    """Two-sided Kolmogorov-Smirnov statistic of a non-empty sample against
+    N(0, 1): sup |F_n - Phi| over the sorted sample x_1 <= ... <= x_n, i.e.
+    max(i/n - Phi(x_i), Phi(x_i) - (i-1)/n) over i, with
+    Phi(x) = erfc(-x / sqrt 2) / 2."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = x.size
+    phi = 0.5 * np.fromiter(map(math.erfc, (-x / math.sqrt(2.0)).tolist()), float, n)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - phi)
+    d_minus = np.max(phi - np.arange(0.0, n) / n)
+    return float(max(d_plus, d_minus))
+
+
 def shuffle_surrogate(rp: ReturnPanel, seed: int) -> ReturnPanel:
     """Independently permute each return row in time (seeded, reproducible).
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_assets, meta_csv, panel_from_returns, price_csv
 from fxnet.market_data import (
@@ -110,6 +111,72 @@ class TestMetadata:
         metas = parse_asset_metadata(meta_csv(CODES, ["developed", "emerging", "frontier"]))
         assert metas["BBB"].market_class == "emerging"
         assert metas["CCC"].index == 3
+
+
+META_HEADER = "index,code,name,market_class,region\n"
+HUGE_CELL = "1" * 131073  # one character over the csv module's default field limit
+
+
+@pytest.mark.parametrize(
+    "prices, meta, message",
+    [
+        (None, META_HEADER + "1,AAA,A\n", "metadata line 2: expected 5 fields, got 3"),
+        (None, META_HEADER + f"1,AAA,{HUGE_CELL},developed,X\n",
+         "metadata line 2: field larger than field limit"),
+        (simple_table() + f"2020-01-05,1.4,{HUGE_CELL},3.4\n", meta_csv(CODES),
+         "price table line 6: field larger than field limit"),
+        ("date,AAA,BBB,CCC\n2020-01-01,1\r2,2,3\n", meta_csv(CODES),
+         "price table line 2: new-line character"),
+    ],
+    ids=["short-metadata-row", "huge-metadata-cell", "huge-price-cell", "carriage-return"],
+)
+def test_malformed_line_is_a_panel_error_naming_it(prices, meta, message):
+    with pytest.raises(PanelError, match=message):
+        if prices is None:
+            parse_asset_metadata(meta)
+        else:
+            parse_price_panel(prices, meta)
+
+
+_TOKENS = st.sampled_from([
+    "", " ", "0", "1", "2", "3", "-1", "1.5", "1e999", "nan", "inf", "x", '"', '""', '"a,b"',
+    "AAA", "BBB", "CCC", "developed", "emerging", "frontier",
+    "2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04", "2020-02-30",
+])
+
+
+@st.composite
+def csv_texts(draw, header):
+    """CSV-like text: rows of parser-relevant tokens and arbitrary strings,
+    usually under the expected header, with any line ending."""
+    rows = draw(st.lists(st.lists(_TOKENS | st.text(max_size=6), max_size=6), max_size=8))
+    if draw(st.booleans()):
+        rows = [header] + rows
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(",".join(row) for row in rows) + draw(st.sampled_from(["", newline]))
+
+
+_META_TEXTS = csv_texts(META_HEADER.strip().split(",")) | st.text()
+_PRICE_TEXTS = csv_texts(["date", *CODES]) | st.text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_META_TEXTS)
+def test_parse_asset_metadata_raises_only_panel_error(text):
+    try:
+        parse_asset_metadata(text)
+    except PanelError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_table=_PRICE_TEXTS, meta=st.just(meta_csv(CODES)) | _META_TEXTS,
+       fill_limit=st.integers(0, 3))
+def test_parse_price_panel_raises_only_panel_error(raw_table, meta, fill_limit):
+    try:
+        parse_price_panel(raw_table, meta, fill_limit)
+    except PanelError:
+        pass
 
 
 def panel_from_prices(rows):

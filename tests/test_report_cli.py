@@ -1,5 +1,9 @@
+import dataclasses
 import json
 import os
+import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +60,19 @@ class TestPajekExport:
             raw = fh.read()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+    def test_labels_split_back_to_their_codes(self, tmp_path):
+        codes = ["D\"D", "X\\Y", "A B", "A00"]
+        assets = tuple(dataclasses.replace(a, code=c) for a, c in zip(make_assets(4), codes))
+        path = str(tmp_path / "g.net")
+        export_pajek(Graph(nodes=tuple(enumerate(assets)), edges=((0, 1, 0.5),), kind="mst"),
+                     path)
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert [shlex.split(line) for line in lines[1:5]] == [
+            [str(k + 1), code] for k, code in enumerate(codes)
+        ]
+        assert lines[4] == '4 "A00"'
 
 
 class TestJsonExport:
@@ -486,3 +503,12 @@ def test_csv_numbers_keep_12_significant_digits(tmp_path_factory, values):
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines == ["x,ccdf"] + [f"{float(x):.12g},{float(p):.12g}" for x, p in points]
+
+
+def test_importing_fxnet_loads_no_scipy():
+    code = ("import sys, fxnet, fxnet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from conftest import normalized_noise_panel, panel_from_returns, planted_group_panel
@@ -13,6 +14,7 @@ from fxnet.spectral import (
     eigendecompose,
     eigenvector_component_sample,
     mp_density,
+    normal_ks_statistic,
     porter_thomas_density,
     rmt_bounds,
     shuffle_surrogate,
@@ -215,6 +217,31 @@ class TestDensities:
     def test_porter_thomas_integrates_to_one(self):
         total, _ = integrate.quad(porter_thomas_density, -8, 8)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+# Past |x| ~ 38.5, Phi(x) underflows to 0 or rounds to 1.
+_KS_EDGE_VALUES = st.floats(-40.0, 40.0) | st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 8.5, -8.5, 38.5, -38.5, 40.0, -40.0]
+)
+
+
+class TestNormalKsStatistic:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 0.5, 1.0, 2.0, 40.0]),
+        shift=st.floats(-40.0, 40.0),
+        decimals=st.sampled_from([None, 0, 1, 3]),
+        edges=st.lists(_KS_EDGE_VALUES, max_size=20),
+    )
+    def test_matches_scipy_kstest(self, n, seed, scale, shift, decimals, edges):
+        x = shift + scale * np.random.default_rng(seed).standard_normal(n)
+        if decimals is not None:
+            x = np.round(x, decimals)  # ties
+        x = np.concatenate([edges, np.clip(x, -40.0, 40.0)])[:5000]
+        expected = stats.kstest(x, "norm").statistic
+        assert abs(normal_ks_statistic(x) - expected) <= 4 * np.finfo(float).eps
 
 
 class TestShuffleSurrogate:
