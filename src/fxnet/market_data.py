@@ -106,6 +106,8 @@ def parse_asset_metadata(text: str) -> dict[str, AssetMeta]:
         code = code.strip()
         if not code:
             raise PanelError("empty asset code in metadata")
+        if not code.isprintable():
+            raise PanelError(f"metadata line {reader.line_num}: non-printable code {code!r}")
         if code in metas:
             raise PanelError(f"duplicate asset code in metadata: {code}")
         market_class = raw_class.strip().lower()
@@ -219,18 +221,16 @@ def parse_price_panel(
 
 
 def compute_log_returns(panel: PricePanel, delta: int = 1) -> ReturnPanel:
-    """Sliding log-returns over `delta` rows, with per-asset volatility.
-
-    Volatility uses the population convention (divide by T).
-    """
+    """Log-returns between every delta-th price, so that spans do not overlap
+    (the random-spectrum bounds at Q = T/N assume independent returns), with
+    per-asset volatility in the population convention (divide by T)."""
     if delta < 1:
         raise PanelError(f"delta must be >= 1, got {delta}")
-    if panel.n_dates < delta + 2:
+    if panel.n_dates < 2 * delta + 1:
         raise PanelError(
-            f"panel has {panel.n_dates} dates, need at least {delta + 2} for delta={delta}"
+            f"panel has {panel.n_dates} dates, need at least {2 * delta + 1} for delta={delta}"
         )
-    logp = np.log(panel.prices)
-    returns = logp[:, delta:] - logp[:, :-delta]
+    returns = np.diff(np.log(panel.prices[:, ::delta]), axis=1)
     sigma = returns.std(axis=1)
     pegged = np.flatnonzero(sigma < PEG_GUARD_SIGMA)
     if pegged.size:

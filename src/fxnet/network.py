@@ -26,11 +26,7 @@ class Graph:
         return len(self.nodes)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=int)
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount([v for i, j, _ in self.edges for v in (i, j)], minlength=self.n_nodes)
 
 
 @dataclass(frozen=True)
@@ -55,29 +51,41 @@ class SweepResult:
     recommended: float
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
+def _kruskal(key: np.ndarray) -> list[tuple[int, int]]:
+    """Spanning forest edges (i, j), i < j, taken by Kruskal visiting the pairs
+    in (key[i, j], i, j) order, in the order they were taken."""
+    n = key.shape[0]
+    rows, cols = np.triu_indices(n, k=1)
+    order = np.lexsort((cols, rows, key[rows, cols]))
+    parent = list(range(n))
+    forest: list[tuple[int, int]] = []
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
+        ri, rj = _find(parent, i), _find(parent, j)
+        if ri != rj:
+            parent[rj] = ri
+            forest.append((i, j))
+            if len(forest) == n - 1:
+                break
+    return forest
+
+
+def _components(n: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the nodes that edges touch, each in ascending
+    order, largest first and equal sizes by their smallest node."""
+    parent = list(range(n))
+    for i, j in edges:
+        parent[_find(parent, j)] = _find(parent, i)
+    groups: dict[int, list[int]] = {}
+    for node in sorted({v for edge in edges for v in edge}):
+        groups.setdefault(_find(parent, node), []).append(node)
+    return tuple(sorted(map(tuple, groups.values()), key=lambda c: (-len(c), c[0])))
 
 
 def mantegna_distance(c: CorrelationMatrix | np.ndarray) -> np.ndarray:
@@ -95,26 +103,22 @@ def _nodes_for(assets: tuple[AssetMeta, ...]) -> tuple[tuple[int, AssetMeta], ..
     return tuple((i, a) for i, a in enumerate(assets))
 
 
+def _matrix_for(m: np.ndarray, assets: tuple[AssetMeta, ...], what: str) -> np.ndarray:
+    """m as a float array, checked to have one row per asset."""
+    m = np.asarray(m, dtype=float)
+    if m.shape[0] != len(assets):
+        raise ValueError(f"{what} size does not match asset list")
+    return m
+
+
 def minimum_spanning_tree(d: np.ndarray, assets: tuple[AssetMeta, ...]) -> Graph:
     """Kruskal MST with edges sorted by (weight, i, j) so ties break
     deterministically."""
-    d = np.asarray(d, dtype=float)
-    n = d.shape[0]
-    if n != len(assets):
-        raise ValueError("distance matrix size does not match asset list")
+    d = _matrix_for(d, assets, "distance matrix")
     if not np.all(np.isfinite(d)):
         raise ValueError("distance matrix contains non-finite entries")
-    candidates = sorted(
-        (float(d[i, j]), i, j) for i in range(n) for j in range(i + 1, n)
-    )
-    uf = UnionFind(n)
-    edges: list[tuple[int, int, float]] = []
-    for w, i, j in candidates:
-        if uf.union(i, j):
-            edges.append((i, j, w))
-            if len(edges) == n - 1:
-                break
-    if len(edges) != n - 1:
+    edges = [(i, j, float(d[i, j])) for i, j in _kruskal(d)]
+    if len(edges) != len(assets) - 1:
         raise ValueError("distance matrix does not yield a connected tree")
     return Graph(nodes=_nodes_for(assets), edges=tuple(edges), kind="mst")
 
@@ -124,16 +128,9 @@ def threshold_network(
 ) -> Graph:
     """Edge (i, j) present iff the group-correlation element strictly exceeds
     c_th; the element is kept as the edge weight."""
-    c_group = np.asarray(c_group, dtype=float)
-    n = c_group.shape[0]
-    if n != len(assets):
-        raise ValueError("matrix size does not match asset list")
-    edges = tuple(
-        (i, j, float(c_group[i, j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if c_group[i, j] > c_th
-    )
+    c_group = _matrix_for(c_group, assets, "matrix")
+    rows, cols = np.nonzero(np.triu(c_group > c_th, k=1))
+    edges = tuple(zip(rows.tolist(), cols.tolist(), c_group[rows, cols].tolist()))
     return Graph(nodes=_nodes_for(assets), edges=edges, kind="threshold")
 
 
@@ -144,26 +141,14 @@ def cluster_report(g: Graph, hub_sigma: float = DEFAULT_HUB_SIGMA) -> ClusterRep
     """
     n = g.n_nodes
     deg = g.degrees()
-    uf = UnionFind(n)
-    for i, j, _ in g.edges:
-        uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for node in range(n):
-        if deg[node] > 0:
-            groups.setdefault(uf.find(node), []).append(node)
-    components = sorted(
-        (tuple(sorted(members)) for members in groups.values()),
-        key=lambda c: (-len(c), c[0]),
-    )
+    components = _components(n, [(i, j) for i, j, _ in g.edges])
     isolated = tuple(int(i) for i in np.flatnonzero(deg == 0))
     cutoff = deg.mean() + hub_sigma * deg.std()
     hubs = sorted(
         ((int(i), int(deg[i])) for i in range(n) if deg[i] > cutoff),
         key=lambda h: (-h[1], h[0]),
     )
-    return ClusterReport(
-        components=tuple(components), isolated=isolated, hubs=tuple(hubs)
-    )
+    return ClusterReport(components=components, isolated=isolated, hubs=tuple(hubs))
 
 
 def threshold_sweep(
@@ -174,18 +159,22 @@ def threshold_sweep(
     """Evaluate threshold networks over a grid of cutoffs.
 
     The recommended cutoff maximizes the number of nodes sitting in components
-    of size >= 3, with ties broken toward the larger cutoff.
+    of size >= 3, with ties broken toward the larger cutoff. The components at
+    every cutoff c are those of the edges above c in one maximum spanning
+    forest of c_group, which connect what the threshold graph at c connects
+    (the single-linkage / MST equivalence).
     """
     grid = [float(x) for x in grid]
     if not grid:
         raise ValueError("threshold grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("threshold grid must be strictly increasing")
+    c_group = _matrix_for(c_group, assets, "matrix")
+    forest = [(i, j, c_group[i, j]) for i, j in _kruskal(-c_group)]
     entries: list[SweepEntry] = []
-    best: tuple[int, float] | None = None
     for c_th in grid:
-        report = cluster_report(threshold_network(c_group, c_th, assets))
-        sizes = tuple(len(c) for c in report.components)
+        above = [(i, j) for i, j, w in forest if w > c_th]
+        sizes = tuple(len(c) for c in _components(len(assets), above))
         clustered = sum(s for s in sizes if s >= MIN_CLUSTER_SIZE)
         entries.append(
             SweepEntry(
@@ -196,6 +185,5 @@ def threshold_sweep(
                 clustered=clustered,
             )
         )
-        if best is None or (clustered, c_th) >= best:
-            best = (clustered, c_th)
-    return SweepResult(entries=tuple(entries), recommended=best[1])
+    recommended = max((e.clustered, e.c_th) for e in entries)[1]
+    return SweepResult(entries=tuple(entries), recommended=recommended)

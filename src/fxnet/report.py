@@ -400,12 +400,19 @@ def build_threshold(
 @_stage("export")
 def write_files(out_dir: str, write: Callable[[PathFor], None]) -> None:
     """Call write(out), where out(rel) makes the directory of out_dir/rel and
-    returns that path. If write fails, the files it was given are removed."""
+    returns that path. If write fails, its files and the directories made go."""
     written: list[str] = []
+    made: list[str] = []
+
+    def make_dirs(path: str) -> None:
+        if path and not os.path.isdir(path):
+            make_dirs(os.path.dirname(path))
+            os.mkdir(path)
+            made.append(path)
 
     def out(rel: str) -> str:
         path = os.path.join(out_dir, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        make_dirs(os.path.dirname(path))
         written.append(path)
         return path
 
@@ -415,6 +422,8 @@ def write_files(out_dir: str, write: Callable[[PathFor], None]) -> None:
         for path in written:
             if os.path.exists(path):
                 os.unlink(path)
+        for path in reversed(made):
+            os.rmdir(path)
         raise
 
 

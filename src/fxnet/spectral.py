@@ -113,22 +113,24 @@ def eigendecompose(cm: CorrelationMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=_freeze(vals), eigenvectors=_freeze(vecs))
 
 
+def _mp_edges(q: float) -> tuple[float, float]:
+    """Edges (1 -/+ 1/sqrt(q))^2 of the random eigenvalue support at Q = q."""
+    return (1.0 - 1.0 / math.sqrt(q)) ** 2, (1.0 + 1.0 / math.sqrt(q)) ** 2
+
+
 def rmt_bounds(n: int, t: int) -> RmtBounds:
     """Support bounds of the random (Wishart) eigenvalue spectrum at Q = T/N."""
     if n < 2 or t < n:
         raise ValueError(f"require t >= n >= 2 (Q >= 1), got n={n}, t={t}")
     q = t / n
-    lo = (1.0 - 1.0 / math.sqrt(q)) ** 2
-    hi = (1.0 + 1.0 / math.sqrt(q)) ** 2
-    return RmtBounds(q=q, lambda_min=lo, lambda_max=hi)
+    return RmtBounds(q, *_mp_edges(q))
 
 
 def mp_density(lam: float, q: float) -> float:
     """Density of the random eigenvalue spectrum at Q = q; zero outside support."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    lo = (1.0 - 1.0 / math.sqrt(q)) ** 2
-    hi = (1.0 + 1.0 / math.sqrt(q)) ** 2
+    lo, hi = _mp_edges(q)
     if lam <= lo or lam >= hi:
         return 0.0
     return q / (2.0 * math.pi) * math.sqrt((hi - lam) * (lam - lo)) / lam

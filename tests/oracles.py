@@ -102,6 +102,70 @@ def tail_survival_loop(samples, side="positive"):
     return out
 
 
+def kruskal_mst_tuples(d):
+    """Minimum spanning tree edges (i, j, d[i, j]) in the order Kruskal takes
+    them from a sorted list of (d[i, j], i, j) tuples over every pair i < j,
+    with a union-find by rank of its own."""
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    parent = list(range(n))
+    rank = [0] * n
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = []
+    for w, i, j in sorted((float(d[i, j]), i, j) for i in range(n) for j in range(i + 1, n)):
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            continue
+        if rank[ri] < rank[rj]:
+            ri, rj = rj, ri
+        parent[rj] = ri
+        rank[ri] += rank[ri] == rank[rj]
+        edges.append((i, j, w))
+    return tuple(edges)
+
+
+def threshold_components_bfs(c, c_th):
+    """Components of the graph with edge (i, j), i < j, iff c[i, j] > c_th, by
+    breadth-first search over the boolean adjacency; isolated nodes left out.
+    Each component is an ascending tuple; largest first, ties by first node."""
+    adj = np.triu(np.asarray(c, dtype=float) > c_th, k=1)
+    adj = adj | adj.T
+    seen = set()
+    components = []
+    for start in range(adj.shape[0]):
+        if start in seen or not adj[start].any():
+            continue
+        seen.add(start)
+        queue = [start]
+        for v in queue:
+            for u in np.flatnonzero(adj[v]).tolist():
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        components.append(tuple(sorted(queue)))
+    return sorted(components, key=lambda comp: (-len(comp), comp[0]))
+
+
+def threshold_sweep_bfs(c, grid, min_cluster_size=3):
+    """((c_th, n_active, n_components, sizes, clustered) per cutoff, the
+    cutoff with the most nodes in components of >= min_cluster_size nodes,
+    ties to the larger cutoff), building every threshold graph anew."""
+    entries = []
+    best = None
+    for c_th in grid:
+        sizes = tuple(len(comp) for comp in threshold_components_bfs(c, c_th))
+        clustered = sum(s for s in sizes if s >= min_cluster_size)
+        entries.append((c_th, sum(sizes), len(sizes), sizes, clustered))
+        if best is None or (clustered, c_th) >= best:
+            best = (clustered, c_th)
+    return tuple(entries), best[1]
+
+
 _PRUFER_CACHE = {}
 
 

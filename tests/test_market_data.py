@@ -13,6 +13,8 @@ from fxnet.market_data import (
     parse_asset_metadata,
     parse_price_panel,
 )
+from fxnet.modes import select_ng
+from fxnet.spectral import correlation_matrix, eigendecompose, rmt_bounds
 
 CODES = ["AAA", "BBB", "CCC"]
 DATES = ["2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04"]
@@ -138,6 +140,14 @@ def test_malformed_line_is_a_panel_error_naming_it(prices, meta, message):
             parse_price_panel(prices, meta)
 
 
+@pytest.mark.parametrize("code", ["A\nB", "A\rB", "A\tB", "A\u2028B"],
+                         ids=["line-feed", "carriage-return", "tab", "line-separator"])
+def test_non_printable_code_is_a_panel_error_naming_its_line(code):
+    meta = META_HEADER + f'1,AAA,A,developed,X\n2,"{code}",B,developed,Y\n'
+    with pytest.raises(PanelError, match=r"metadata line \d+: non-printable code"):
+        parse_asset_metadata(meta)
+
+
 _TOKENS = st.sampled_from([
     "", " ", "0", "1", "2", "3", "-1", "1.5", "1e999", "nan", "inf", "x", '"', '""', '"a,b"',
     "AAA", "BBB", "CCC", "developed", "emerging", "frontier",
@@ -207,10 +217,10 @@ class TestLogReturns:
         assert rp.returns[0] == pytest.approx([ln2, ln2, -ln2], abs=1e-12)
 
     def test_delta_two(self):
-        panel = panel_from_prices([[1.0, 2.0, 4.0, 16.0], [5.0, 3.0, 7.0, 2.0]])
+        panel = panel_from_prices([[1.0, 2.0, 4.0, 16.0, 8.0], [5.0, 3.0, 7.0, 2.0, 9.0]])
         rp = compute_log_returns(panel, delta=2)
         assert rp.returns.shape == (2, 2)
-        assert rp.returns[0] == pytest.approx([math.log(4.0), math.log(8.0)], abs=1e-12)
+        assert rp.returns[0] == pytest.approx([math.log(4.0), math.log(2.0)], abs=1e-12)
 
     def test_delta_validation(self):
         panel = panel_from_prices([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
@@ -218,6 +228,16 @@ class TestLogReturns:
             compute_log_returns(panel, delta=0)
         with pytest.raises(PanelError):
             compute_log_returns(panel, delta=2)  # needs delta + 2 dates
+
+    @pytest.mark.parametrize("delta", [1, 2, 5, 20])
+    def test_random_walk_has_no_group_modes(self, delta):
+        """Overlapping returns would correlate successive samples and push
+        eigenvalues of pure noise past the bound at Q = T/N."""
+        rng = np.random.default_rng(1)
+        logp = np.cumsum(rng.standard_normal((74, 6035)) * 0.01, axis=1)
+        rp = normalize_returns(compute_log_returns(panel_from_prices(np.exp(logp)), delta))
+        sd = eigendecompose(correlation_matrix(rp))
+        assert select_ng(sd, rmt_bounds(rp.n_assets, rp.n_steps)) == 0
 
     def test_round_trip_from_exp_cumsum(self, rng):
         row = rng.standard_normal(50) * 0.05

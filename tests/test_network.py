@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_assets, planted_group_panel
 from fxnet.network import (
@@ -15,7 +19,10 @@ from fxnet.spectral import correlation_matrix, eigendecompose
 from oracles import (
     brute_force_mst_weight,
     component_labels,
+    kruskal_mst_tuples,
     rand_index,
+    threshold_components_bfs,
+    threshold_sweep_bfs,
     tree_weight,
 )
 
@@ -25,6 +32,35 @@ def symmetric_distances(rng, n):
     d = (m + m.T) / 2.0
     np.fill_diagonal(d, 0.0)
     return d
+
+
+# A small value set makes ties among the entries and between entries and
+# cutoffs; the continuous draw covers everything in between.
+TIED_VALUES = (-0.6, -0.2, 0.0, 0.15, 0.3, 0.7)
+ENTRIES = (st.sampled_from(TIED_VALUES), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(2, 30))
+    a = draw(hnp.arrays(float, (n, n), elements=draw(st.sampled_from(ENTRIES))))
+    m = np.triu(a, k=1)
+    m = m + m.T
+    np.fill_diagonal(m, 1.0)
+    return m
+
+
+@st.composite
+def grids(draw, m):
+    """Strictly increasing cutoffs, some equal to entries of m, reaching below
+    its smallest and above its largest off-diagonal entry when drawn so."""
+    off = m[np.triu_indices(m.shape[0], k=1)]
+    grid = set(draw(st.lists(st.one_of(*ENTRIES), min_size=1, max_size=12)))
+    if draw(st.booleans()):
+        grid.add(float(off.min()) - 0.25)
+    if draw(st.booleans()):
+        grid.add(float(off.max()) + 0.25)
+    return sorted(grid)
 
 
 class TestMantegnaDistance:
@@ -96,6 +132,12 @@ class TestMinimumSpanningTree:
         d[0, 1] = d[1, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             minimum_spanning_tree(d, make_assets(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=symmetric_matrices())
+    def test_matches_sorted_tuple_kruskal(self, d):
+        g = minimum_spanning_tree(d, make_assets(d.shape[0]))
+        assert g.edges == kruskal_mst_tuples(d)
 
 
 class TestThresholdNetwork:
@@ -196,6 +238,25 @@ class TestThresholdSweep:
             threshold_sweep(m, [], make_assets(4))
         with pytest.raises(ValueError):
             threshold_sweep(m, [0.2, 0.1], make_assets(4))
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="matrix size does not match"):
+            threshold_sweep(np.eye(4), [0.1], make_assets(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_cutoff_bfs(self, data):
+        m = data.draw(symmetric_matrices())
+        grid = data.draw(grids(m))
+        assets = make_assets(m.shape[0])
+        sweep = threshold_sweep(m, grid, assets)
+        entries, recommended = threshold_sweep_bfs(m, grid)
+        assert tuple(dataclasses.astuple(e) for e in sweep.entries) == entries
+        assert sweep.recommended == recommended
+        tnet = threshold_network(m, recommended, assets)
+        assert cluster_report(tnet).components == tuple(
+            threshold_components_bfs(m, recommended)
+        )
 
     def test_planted_groups_recovered(self):
         rng = np.random.default_rng(55)

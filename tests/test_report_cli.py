@@ -21,6 +21,7 @@ from fxnet.report import (
     export_json_report,
     export_pajek,
     run_pipeline,
+    write_files,
 )
 from oracles import read_json_report, read_pajek
 
@@ -512,3 +513,24 @@ def test_importing_fxnet_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("out_dir_exists", [False, True])
+def test_failed_export_leaves_out_dir_as_it_was(tmp_path, out_dir_exists):
+    out_dir = tmp_path / "out"
+    if out_dir_exists:
+        out_dir.mkdir()
+        (out_dir / "keep.txt").write_text("kept")
+
+    def write(out):
+        with open(out(os.path.join("ccdf", "a.csv")), "w") as fh:
+            fh.write("x,ccdf\n")
+        raise OSError("disk full")
+
+    with pytest.raises(StageError, match="disk full"):
+        write_files(str(out_dir), write)
+    if out_dir_exists:
+        assert os.listdir(out_dir) == ["keep.txt"]
+        assert (out_dir / "keep.txt").read_text() == "kept"
+    else:
+        assert not out_dir.exists()
