@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 
 from . import report, tails
@@ -60,7 +61,7 @@ def cmd_ingest(args) -> None:
 def cmd_returns(args) -> None:
     """write the normalized return panel"""
     rp = _returns(args)
-    report.write_files(args.out_dir, lambda out: report.write_returns(out, rp))
+    report.write_files(args.out_dir, report.returns_files(rp))
     print(f"wrote returns for {rp.n_assets} assets x {rp.n_steps} steps")
 
 
@@ -72,12 +73,10 @@ def cmd_tails(args) -> None:
         for record in report.fit_tails(rp, args.tail_fraction)
         for side in tails.SIDES
     ]
-
-    def write(out) -> None:
-        report.write_ccdfs(out, rp, "ccdf_{}.csv")
-        report.export_json_report({"tail_fits": fits}, out("tail_fits.json"))
-
-    report.write_files(args.out_dir, write)
+    report.write_files(args.out_dir, itertools.chain(
+        report.ccdf_files(rp, "ccdf_{}.csv"),
+        report.json_file("tail_fits.json", {"tail_fits": fits}),
+    ))
     print(f"wrote {len(fits)} tail fits")
 
 
@@ -86,12 +85,10 @@ def cmd_spectrum(args) -> None:
     rp = _returns(args)
     cm = report.correlate(rp)
     sd, bounds = report.spectrum(cm, rp.n_steps)
-
-    def write(out) -> None:
-        report.write_spectrum(out, rp.assets, cm, sd)
-        report.export_json_report({"rmt": dataclasses.asdict(bounds)}, out("rmt_bounds.json"))
-
-    report.write_files(args.out_dir, write)
+    report.write_files(args.out_dir, itertools.chain(
+        report.spectrum_files(rp.assets, cm, sd),
+        report.json_file("rmt_bounds.json", {"rmt": dataclasses.asdict(bounds)}),
+    ))
     print(f"leading eigenvalue {sd.eigenvalues[0]:.6g}, "
           f"RMT bounds [{bounds.lambda_min:.4g}, {bounds.lambda_max:.4g}]")
 
@@ -99,8 +96,8 @@ def cmd_spectrum(args) -> None:
 def cmd_decompose(args) -> None:
     """global/group/random mode decomposition"""
     rp, cm, md = _split(args)
-    hists = report.histograms(cm, md, PipelineConfig.histogram_bins)
-    report.write_files(args.out_dir, lambda out: report.write_modes(out, rp.assets, md, hists))
+    hists = report.histograms(cm, md)
+    report.write_files(args.out_dir, report.modes_files(rp.assets, md, hists))
     print(f"decomposed with n_g={md.n_g}")
 
 
@@ -108,7 +105,7 @@ def cmd_mst(args) -> None:
     """minimum spanning tree over Mantegna distances"""
     rp = _returns(args)
     mst, cluster = report.build_mst(report.correlate(rp), rp.assets, args.hub_sigma)
-    report.write_files(args.out_dir, lambda out: report.write_graph(out, mst))
+    report.write_files(args.out_dir, report.graph_files(mst))
     print(f"MST: {len(mst.edges)} edges, {len(cluster.hubs)} hubs")
 
 
@@ -118,7 +115,7 @@ def cmd_threshnet(args) -> None:
     tnet, cluster, sweep, c_th = report.build_threshold(
         md.c_group, rp.assets, args.c_th, args.hub_sigma
     )
-    report.write_files(args.out_dir, lambda out: report.write_graph(out, tnet, sweep))
+    report.write_files(args.out_dir, report.graph_files(tnet, sweep))
     print(f"threshold network at c_th={c_th:.6g}: "
           f"{len(tnet.edges)} edges, {len(cluster.components)} components")
 

@@ -74,32 +74,34 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _csv_rows(reader, table: str):
-    """The rows of `reader`; a line the csv module cannot split (a field over
-    its size limit, a carriage return inside an unquoted field) is a
-    PanelError naming the line."""
+def _csv_rows(text: str, table: str):
+    """(line number, row) for each row of CSV `text`, numbered by the row's
+    last physical line; a line the csv module cannot split (a field over its
+    size limit, a carriage return inside an unquoted field) is a PanelError
+    naming the line."""
+    reader = csv.reader(io.StringIO(text))
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise PanelError(f"{table} line {reader.line_num}: {exc}") from None
 
 
 def parse_asset_metadata(text: str) -> dict[str, AssetMeta]:
     """Parse `index,code,name,market_class,region` rows into a code -> meta map."""
-    reader = csv.reader(io.StringIO(text))
-    records = _csv_rows(reader, "metadata")
+    records = _csv_rows(text, "metadata")
     expected = ["index", "code", "name", "market_class", "region"]
-    header = next(records, None)
+    _, header = next(records, (0, None))
     if header is None or [f.strip() for f in header] != expected:
         raise PanelError(f"metadata header must be {','.join(expected)!r}, got {header}")
     metas: dict[str, AssetMeta] = {}
     indices: list[int] = []
-    for row in records:
+    for lineno, row in records:
         if not row:
             continue
         if len(row) < len(expected):
             raise PanelError(
-                f"metadata line {reader.line_num}: expected {len(expected)} fields, "
+                f"metadata line {lineno}: expected {len(expected)} fields, "
                 f"got {len(row)}"
             )
         raw_index, code, name, raw_class, region = row[: len(expected)]
@@ -107,7 +109,7 @@ def parse_asset_metadata(text: str) -> dict[str, AssetMeta]:
         if not code:
             raise PanelError("empty asset code in metadata")
         if not code.isprintable():
-            raise PanelError(f"metadata line {reader.line_num}: non-printable code {code!r}")
+            raise PanelError(f"metadata line {lineno}: non-printable code {code!r}")
         if code in metas:
             raise PanelError(f"duplicate asset code in metadata: {code}")
         market_class = raw_class.strip().lower()
@@ -144,8 +146,8 @@ def parse_price_panel(
     surviving panel stays cross-sectionally aligned.
     """
     metas = parse_asset_metadata(meta)
-    records = _csv_rows(csv.reader(io.StringIO(raw_table)), "price table")
-    header = next(records, None)
+    records = _csv_rows(raw_table, "price table")
+    _, header = next(records, (0, None))
     if header is None:
         raise PanelError("empty price table")
     if not header or header[0].strip().lower() != "date":
@@ -167,7 +169,7 @@ def parse_price_panel(
     seen_dates: set[datetime.date] = set()
     prev_date: datetime.date | None = None
 
-    for lineno, row in enumerate(records, start=2):
+    for lineno, row in records:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != n + 1:

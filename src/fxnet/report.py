@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import re
+import shutil
+import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,10 +27,10 @@ from .spectral import CorrelationMatrix, RmtBounds, SpectralDecomposition
 
 SCHEMA_VERSION = 1
 BULK_MARGIN = 0.05
-DEFAULT_HISTOGRAM_BINS = 51
 DEFAULT_SURROGATES = 10
 DEFAULT_SEED = 20120430
 THRESHOLD_GRID_POINTS = 40
+HISTOGRAM_BINS = 51
 
 
 class StageError(RuntimeError):
@@ -52,7 +55,6 @@ class PipelineConfig:
     surrogates: int = DEFAULT_SURROGATES
     seed: int = DEFAULT_SEED
     hub_sigma: float = network.DEFAULT_HUB_SIGMA
-    histogram_bins: int = DEFAULT_HISTOGRAM_BINS
 
 
 @dataclass
@@ -82,11 +84,6 @@ def _round_floats(obj: Any) -> Any:
     return obj
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
@@ -97,7 +94,7 @@ def _label(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     """LF-terminated CSV. A str cell is a label (see `_label`); any other cell
     is a number printed to 12 significant digits. Every row has the cell
     kinds of the first."""
@@ -112,19 +109,17 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) 
             for k in labels:
                 row[k] = _label(row[k])
         lines.append(fmt % tuple(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def export_json_report(report: AnalysisReport | dict[str, Any], path: str) -> None:
-    """UTF-8 JSON with sorted keys and 12-significant-digit reals."""
-    payload = report.payload if isinstance(report, AnalysisReport) else report
+def export_json_report(payload: dict[str, Any]) -> str:
+    """JSON with sorted keys and 12-significant-digit reals."""
     payload = dict(payload)
     payload.setdefault("schema_version", SCHEMA_VERSION)
-    text = json.dumps(_round_floats(payload), sort_keys=True, indent=2)
-    _write_text(path, text + "\n")
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
 
 
-def export_pajek(g: Graph, path: str) -> None:
+def export_pajek(g: Graph) -> str:
     """Pajek .net file: vertex list in panel order, then the weighted edges
     with 1-based endpoints and 6-decimal weights. A label is written inside
     double quotes with `\\` and `"` backslash-escaped, so that a shell-style
@@ -136,10 +131,10 @@ def export_pajek(g: Graph, path: str) -> None:
     lines.append("*Edges")
     for i, j, w in g.edges:
         lines.append(f"{i + 1} {j + 1} {w:.6f}")
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def export_graph_json(g: Graph, path: str) -> None:
+def export_graph_json(g: Graph) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": g.kind,
@@ -155,98 +150,92 @@ def export_graph_json(g: Graph, path: str) -> None:
         ],
         "edges": [[i, j, w] for i, j, w in g.edges],
     }
-    export_json_report(payload, path)
+    return export_json_report(payload)
 
 
-def export_histogram_csv(
-    histograms: list[tuple[float, float]] | dict[str, list[tuple[float, float]]],
-    path: str,
-) -> None:
-    """One histogram -> `bin_center,density`; a dict of component name ->
-    histogram adds a trailing `component` column."""
-    if isinstance(histograms, dict):
-        rows = [(c, d, name) for name, hist in histograms.items() for c, d in hist]
-        _write_csv(path, ["bin_center", "density", "component"], rows)
-    else:
-        _write_csv(path, ["bin_center", "density"], histograms)
+def export_histogram_csv(histograms: dict[str, list[tuple[float, float]]]) -> str:
+    """`bin_center,density,component` rows of each component's histogram."""
+    rows = [(c, d, name) for name, hist in histograms.items() for c, d in hist]
+    return _csv(["bin_center", "density", "component"], rows)
 
 
-def export_ccdf_csv(points: list[tuple[float, float]], path: str) -> None:
-    _write_csv(path, ["x", "ccdf"], points)
+def export_ccdf_csv(points: list[tuple[float, float]]) -> str:
+    return _csv(["x", "ccdf"], points)
 
 
-def export_spectrum_csv(sd: SpectralDecomposition, path: str) -> None:
-    _write_csv(path, ["index", "eigenvalue"], enumerate(sd.eigenvalues.tolist()))
+def export_spectrum_csv(sd: SpectralDecomposition) -> str:
+    return _csv(["index", "eigenvalue"], enumerate(sd.eigenvalues.tolist()))
 
 
-def export_eigenvectors_csv(
-    sd: SpectralDecomposition, assets: tuple[AssetMeta, ...], path: str
-) -> None:
+def export_eigenvectors_csv(sd: SpectralDecomposition, assets: tuple[AssetMeta, ...]) -> str:
     rows = [(j, *u) for j, u in enumerate(sd.eigenvectors.tolist())]
-    _write_csv(path, ["index", *(a.code for a in assets)], rows)
+    return _csv(["index", *(a.code for a in assets)], rows)
 
 
-def export_matrix_csv(m: np.ndarray, assets: tuple[AssetMeta, ...], path: str) -> None:
+def export_matrix_csv(m: np.ndarray, assets: tuple[AssetMeta, ...]) -> str:
     rows = [(a.code, *r) for a, r in zip(assets, np.asarray(m).tolist())]
-    _write_csv(path, ["code", *(a.code for a in assets)], rows)
+    return _csv(["code", *(a.code for a in assets)], rows)
 
 
-def export_sweep_csv(sweep: SweepResult, path: str) -> None:
+def export_sweep_csv(sweep: SweepResult) -> str:
     rows = [
         (e.c_th, e.n_active, e.n_components, e.clustered, ";".join(map(str, e.sizes)))
         for e in sweep.entries
     ]
-    _write_csv(path, ["c_th", "n_active", "n_components", "clustered", "sizes"], rows)
+    return _csv(["c_th", "n_active", "n_components", "clustered", "sizes"], rows)
 
 
 # ---------------------------------------------------------------------------
-# groups of output files; `out(rel)` gives the path of output file `rel`
-# (see write_files)
+# groups of output files: each yields (path relative to out_dir, text) pairs
+# for write_files, formatting a file only when asked for it
 
-PathFor = Callable[[str], str]
+Files = Iterator[tuple[str, str]]
 
 
-def write_returns(out: PathFor, rp: ReturnPanel) -> None:
+def json_file(rel: str, payload: dict[str, Any]) -> Files:
+    yield rel, export_json_report(payload)
+
+
+def returns_files(rp: ReturnPanel) -> Files:
     codes = [a.code for a in rp.assets]
     rows = [(c, *r) for c, r in zip(codes, rp.returns.tolist())]
-    _write_csv(out("returns.csv"), ["code", *(f"t{k}" for k in range(rp.n_steps))], rows)
-    _write_csv(out("sigma.csv"), ["code", "sigma"], zip(codes, rp.sigma.tolist()))
+    yield "returns.csv", _csv(["code", *(f"t{k}" for k in range(rp.n_steps))], rows)
+    yield "sigma.csv", _csv(["code", "sigma"], zip(codes, rp.sigma.tolist()))
 
 
-def write_ccdfs(out: PathFor, rp: ReturnPanel, template: str) -> None:
+def ccdf_files(rp: ReturnPanel, template: str) -> Files:
     """The empirical CCDF of each tail of each asset, one file per series,
     at template.format(f"{code}_{side}")."""
     for meta, row in zip(rp.assets, rp.returns):
         for side in tails.SIDES:
-            path = out(template.format(f"{meta.code}_{side}"))
-            export_ccdf_csv(tails.tail_survival(row, side), path)
+            yield (template.format(f"{meta.code}_{side}"),
+                   export_ccdf_csv(tails.tail_survival(row, side)))
 
 
-def write_spectrum(
-    out: PathFor, assets: tuple[AssetMeta, ...], cm: CorrelationMatrix, sd: SpectralDecomposition
-) -> None:
-    export_spectrum_csv(sd, out("spectrum.csv"))
-    export_eigenvectors_csv(sd, assets, out("eigenvectors.csv"))
-    export_matrix_csv(cm.values, assets, out("correlation.csv"))
+def spectrum_files(
+    assets: tuple[AssetMeta, ...], cm: CorrelationMatrix, sd: SpectralDecomposition
+) -> Files:
+    yield "spectrum.csv", export_spectrum_csv(sd)
+    yield "eigenvectors.csv", export_eigenvectors_csv(sd, assets)
+    yield "correlation.csv", export_matrix_csv(cm.values, assets)
 
 
-def write_modes(
-    out: PathFor,
+def modes_files(
     assets: tuple[AssetMeta, ...],
     md: ModeDecomposition,
     hists: dict[str, list[tuple[float, float]]],
-) -> None:
+) -> Files:
     for part in ("global", "group", "random"):
-        export_matrix_csv(getattr(md, f"c_{part}"), assets, out(f"c_{part}.csv"))
-    export_histogram_csv(hists, out("histograms.csv"))
+        yield f"c_{part}.csv", export_matrix_csv(getattr(md, f"c_{part}"), assets)
+    yield "histograms.csv", export_histogram_csv(hists)
 
 
-def write_graph(out: PathFor, g: Graph, sweep: SweepResult | None = None) -> None:
+def graph_files(g: Graph, sweep: SweepResult | None = None) -> Files:
     """`<kind>.net` and `<kind>.json`, plus `sweep.csv` for a swept cutoff."""
-    export_pajek(g, out(f"{g.kind}.net"))
-    export_graph_json(g, out(f"{g.kind}.json"))
+    yield f"{g.kind}.net", export_pajek(g)
+    yield f"{g.kind}.json", export_graph_json(g)
     if sweep is not None:
-        export_sweep_csv(sweep, out("sweep.csv"))
+        yield "sweep.csv", export_sweep_csv(sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +346,12 @@ def _parts(cm: CorrelationMatrix, md: ModeDecomposition) -> dict[str, np.ndarray
 
 @_stage("decomposition")
 def histograms(
-    cm: CorrelationMatrix, md: ModeDecomposition, bins: int
+    cm: CorrelationMatrix, md: ModeDecomposition
 ) -> dict[str, list[tuple[float, float]]]:
     """Element histograms of C and of each of its three parts."""
-    return {name: modes.element_histogram(m, bins) for name, m in _parts(cm, md).items()}
+    return {
+        name: modes.element_histogram(m, HISTOGRAM_BINS) for name, m in _parts(cm, md).items()
+    }
 
 
 def default_threshold_grid(c_group: np.ndarray) -> np.ndarray:
@@ -398,33 +389,43 @@ def build_threshold(
 
 
 @_stage("export")
-def write_files(out_dir: str, write: Callable[[PathFor], None]) -> None:
-    """Call write(out), where out(rel) makes the directory of out_dir/rel and
-    returns that path. If write fails, its files and the directories made go."""
-    written: list[str] = []
-    made: list[str] = []
+def write_files(out_dir: str, files: Iterable[tuple[str, str]]) -> None:
+    """Write the text of each (rel, text) pair of `files` to out_dir/rel.
 
-    def make_dirs(path: str) -> None:
-        if path and not os.path.isdir(path):
-            make_dirs(os.path.dirname(path))
-            os.mkdir(path)
-            made.append(path)
-
-    def out(rel: str) -> str:
-        path = os.path.join(out_dir, rel)
-        make_dirs(os.path.dirname(path))
-        written.append(path)
-        return path
-
+    Every file is written under a staging directory `.fxnet-*` (inside out_dir
+    if it exists, else in its nearest existing ancestor) before any reaches
+    out_dir: a new out_dir is renamed into place whole, and an existing one
+    gets each file by os.replace, keeping the files it already holds. On a
+    failure the staging directory goes and out_dir stays as it was; a killed
+    run can leave the staging directory behind.
+    """
+    out_dir = os.path.abspath(out_dir)
+    base = out_dir
+    while not os.path.isdir(base):
+        base = os.path.dirname(base)
+    tmp = tempfile.mkdtemp(prefix=".fxnet-", dir=base)
     try:
-        write(out)
-    except Exception:
-        for path in written:
-            if os.path.exists(path):
-                os.unlink(path)
-        for path in reversed(made):
-            os.rmdir(path)
-        raise
+        stage = os.path.join(tmp, "out")
+        os.mkdir(stage)  # not mkdtemp's 0700: a new out_dir keeps the umask's mode
+        for rel, text in files:
+            path = os.path.normpath(os.path.join(stage, rel))
+            if not path.startswith(stage + os.sep):  # rel comes from asset codes
+                raise ValueError(f"output path {rel!r} leaves the output directory")
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            del text  # hold one file's text at a time, not also while the next is formatted
+        if os.path.isdir(out_dir):
+            for dirpath, _, names in os.walk(stage):
+                dest = os.path.join(out_dir, os.path.relpath(dirpath, stage))
+                os.makedirs(dest, exist_ok=True)
+                for name in names:
+                    os.replace(os.path.join(dirpath, name), os.path.join(dest, name))
+        else:
+            os.makedirs(os.path.dirname(out_dir), exist_ok=True)
+            os.rename(stage, out_dir)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +458,8 @@ def _element_stats(m: np.ndarray) -> dict[str, float]:
 def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
     """Execute the full analysis and write every artifact under cfg.out_dir.
 
-    Any stage failure raises StageError naming the stage; files already
-    written for this run are removed first.
+    Any stage failure raises StageError naming the stage; a failed run
+    writes nothing to cfg.out_dir (see write_files).
     """
     panel = read_panel(cfg.prices_path, cfg.metadata_path, cfg.fill_limit)
     rp = panel_returns(panel, cfg.delta)
@@ -467,7 +468,7 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
     sd, bounds = spectrum(cm, rp.n_steps)
     surrogate_summary = surrogate_stats(rp, bounds, cfg.seed, cfg.surrogates)
     md, n_g_auto = decompose(sd, bounds, cfg.n_g)
-    hists = histograms(cm, md, cfg.histogram_bins)
+    hists = histograms(cm, md)
     mst, mst_report = build_mst(cm, rp.assets, cfg.hub_sigma)
     tnet, tnet_report, sweep, c_th_used = build_threshold(
         md.c_group, rp.assets, cfg.c_th, cfg.hub_sigma
@@ -516,15 +517,12 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
             },
         },
     }
-    report = AnalysisReport(payload=payload)
-
-    def write(out: PathFor) -> None:
-        export_json_report(report, out("report.json"))
-        write_spectrum(out, rp.assets, cm, sd)
-        write_modes(out, rp.assets, md, hists)
-        write_graph(out, mst)
-        write_graph(out, tnet, sweep)
-        write_ccdfs(out, rp, os.path.join("ccdf", "{}.csv"))
-
-    write_files(cfg.out_dir, write)
-    return report
+    write_files(cfg.out_dir, itertools.chain(
+        json_file("report.json", payload),
+        spectrum_files(rp.assets, cm, sd),
+        modes_files(rp.assets, md, hists),
+        graph_files(mst),
+        graph_files(tnet, sweep),
+        ccdf_files(rp, os.path.join("ccdf", "{}.csv")),
+    ))
+    return AnalysisReport(payload=payload)

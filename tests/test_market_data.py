@@ -129,8 +129,12 @@ HUGE_CELL = "1" * 131073  # one character over the csv module's default field li
          "price table line 6: field larger than field limit"),
         ("date,AAA,BBB,CCC\n2020-01-01,1\r2,2,3\n", meta_csv(CODES),
          "price table line 2: new-line character"),
+        ('date,AAA,BBB,CCC\n2020-01-01,1.0,2.0,3.0\n2020-01-02,"1.1\n",2.1,3.1\n'
+         "2020-01-03,1.2,oops,3.2\n", meta_csv(CODES),
+         "line 5: non-numeric price 'oops' for BBB"),
     ],
-    ids=["short-metadata-row", "huge-metadata-cell", "huge-price-cell", "carriage-return"],
+    ids=["short-metadata-row", "huge-metadata-cell", "huge-price-cell", "carriage-return",
+         "quoted-line-break"],
 )
 def test_malformed_line_is_a_panel_error_naming_it(prices, meta, message):
     with pytest.raises(PanelError, match=message):
@@ -227,7 +231,7 @@ class TestLogReturns:
         with pytest.raises(PanelError):
             compute_log_returns(panel, delta=0)
         with pytest.raises(PanelError):
-            compute_log_returns(panel, delta=2)  # needs delta + 2 dates
+            compute_log_returns(panel, delta=2)  # needs 2 * delta + 1 dates
 
     @pytest.mark.parametrize("delta", [1, 2, 5, 20])
     def test_random_walk_has_no_group_modes(self, delta):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
 
@@ -34,11 +35,8 @@ def two_node_graph(weight=0.5):
 
 
 class TestPajekExport:
-    def test_two_node_fixture(self, tmp_path):
-        path = str(tmp_path / "g.net")
-        export_pajek(two_node_graph(), path)
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    def test_two_node_fixture(self):
+        lines = export_pajek(two_node_graph()).splitlines()
         assert lines == [
             "*Vertices 2",
             '1 "A00"',
@@ -48,28 +46,24 @@ class TestPajekExport:
         ]
 
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "g.net")
-        export_pajek(two_node_graph(weight=1.25), path)
-        labels, edges = read_pajek(path)
+        write_files(str(tmp_path), [("g.net", export_pajek(two_node_graph(weight=1.25)))])
+        labels, edges = read_pajek(str(tmp_path / "g.net"))
         assert labels == ["A00", "A01"]
         assert edges == [(0, 1, 1.25)]
 
     def test_lf_line_endings(self, tmp_path):
-        path = str(tmp_path / "g.net")
-        export_pajek(two_node_graph(), path)
-        with open(path, "rb") as fh:
+        write_files(str(tmp_path), [("g.net", export_pajek(two_node_graph()))])
+        with open(tmp_path / "g.net", "rb") as fh:
             raw = fh.read()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
-    def test_labels_split_back_to_their_codes(self, tmp_path):
+    def test_labels_split_back_to_their_codes(self):
         codes = ["D\"D", "X\\Y", "A B", "A00"]
         assets = tuple(dataclasses.replace(a, code=c) for a, c in zip(make_assets(4), codes))
-        path = str(tmp_path / "g.net")
-        export_pajek(Graph(nodes=tuple(enumerate(assets)), edges=((0, 1, 0.5),), kind="mst"),
-                     path)
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = export_pajek(
+            Graph(nodes=tuple(enumerate(assets)), edges=((0, 1, 0.5),), kind="mst")
+        ).splitlines()
         assert [shlex.split(line) for line in lines[1:5]] == [
             [str(k + 1), code] for k, code in enumerate(codes)
         ]
@@ -77,57 +71,33 @@ class TestPajekExport:
 
 
 class TestJsonExport:
-    def test_deterministic_bytes(self, tmp_path):
+    def test_deterministic_bytes(self):
         payload = {"b": [1.0 / 3.0, 2.0], "a": {"x": np.float64(0.1)}}
-        p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
-        export_json_report(dict(payload), p1)
-        export_json_report(dict(payload), p2)
-        with open(p1, "rb") as fh:
-            b1 = fh.read()
-        with open(p2, "rb") as fh:
-            b2 = fh.read()
-        assert b1 == b2
+        assert export_json_report(dict(payload)) == export_json_report(dict(payload))
 
-    def test_keys_sorted_and_schema_added(self, tmp_path):
-        path = str(tmp_path / "r.json")
-        export_json_report({"zeta": 1, "alpha": 2}, path)
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    def test_keys_sorted_and_schema_added(self):
+        text = export_json_report({"zeta": 1, "alpha": 2})
         assert text.index('"alpha"') < text.index('"schema_version"') < text.index('"zeta"')
 
     def test_float_round_trip_precision(self, tmp_path, rng):
         values = list(rng.uniform(0.1, 10.0, 50))
-        path = str(tmp_path / "r.json")
-        export_json_report({"eigenvalues": values}, path)
-        back = read_json_report(path)["eigenvalues"]
+        write_files(str(tmp_path), [("r.json", export_json_report({"eigenvalues": values}))])
+        back = read_json_report(str(tmp_path / "r.json"))["eigenvalues"]
         assert np.abs(np.array(back) - np.array(values)).max() < 1e-10
 
 
 class TestHistogramExport:
-    def test_empty_dict_header_only(self, tmp_path):
-        path = str(tmp_path / "h.csv")
-        export_histogram_csv({}, path)
-        with open(path, "r", encoding="utf-8") as fh:
-            assert fh.read() == "bin_center,density,component\n"
+    def test_empty_dict_header_only(self):
+        assert export_histogram_csv({}) == "bin_center,density,component\n"
 
-    def test_list_two_columns(self, tmp_path):
-        path = str(tmp_path / "h.csv")
-        export_histogram_csv([(0.0, 1.0), (0.5, 3.0)], path)
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        assert lines[0] == "bin_center,density"
-        assert lines[1:] == ["0,1", "0.5,3"]
-
-    def test_reread_density_normalized(self, tmp_path, rng):
+    def test_reread_density_normalized(self, rng):
         from fxnet.modes import element_histogram
 
         m = rng.standard_normal((12, 12))
         m = (m + m.T) / 2
         hist = element_histogram(m, bins=21)
-        path = str(tmp_path / "h.csv")
-        export_histogram_csv(hist, path)
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        text = export_histogram_csv({"full": hist})
+        rows = [line.split(",") for line in text.splitlines()[1:]]
         centers = np.array([float(r[0]) for r in rows])
         densities = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(centers) > 0)
@@ -497,12 +467,9 @@ def test_codes_needing_quotes_round_trip_through_every_csv(tmp_path):
 
 @given(st.lists(st.one_of(st.floats(), st.integers(-10**6, 10**6)), min_size=2,
                 max_size=40))
-def test_csv_numbers_keep_12_significant_digits(tmp_path_factory, values):
-    path = str(tmp_path_factory.mktemp("csv") / "ccdf.csv")
+def test_csv_numbers_keep_12_significant_digits(values):
     points = list(zip(values[::2], values[1::2]))
-    export_ccdf_csv(points, path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = export_ccdf_csv(points).splitlines()
     assert lines == ["x,ccdf"] + [f"{float(x):.12g},{float(p):.12g}" for x, p in points]
 
 
@@ -515,22 +482,109 @@ def test_importing_fxnet_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("out_dir_exists", [False, True])
-def test_failed_export_leaves_out_dir_as_it_was(tmp_path, out_dir_exists):
-    out_dir = tmp_path / "out"
+def _staging_dirs(root):
+    return list(root.rglob(".fxnet-*"))
+
+
+@pytest.mark.parametrize("out_dir_exists, rel", [(False, "out"), (True, "out"),
+                                                 (False, os.path.join("a", "b", "out"))],
+                         ids=["False", "True", "nested"])
+def test_failed_export_leaves_out_dir_as_it_was(tmp_path, out_dir_exists, rel):
+    out_dir = tmp_path / rel
     if out_dir_exists:
         out_dir.mkdir()
         (out_dir / "keep.txt").write_text("kept")
 
-    def write(out):
-        with open(out(os.path.join("ccdf", "a.csv")), "w") as fh:
-            fh.write("x,ccdf\n")
+    def files():
+        yield os.path.join("ccdf", "a.csv"), "x,ccdf\n"
         raise OSError("disk full")
 
     with pytest.raises(StageError, match="disk full"):
-        write_files(str(out_dir), write)
+        write_files(str(out_dir), files())
     if out_dir_exists:
         assert os.listdir(out_dir) == ["keep.txt"]
         assert (out_dir / "keep.txt").read_text() == "kept"
     else:
         assert not out_dir.exists()
+        assert not (tmp_path / "a").exists()
+    assert _staging_dirs(tmp_path) == []
+
+
+@pytest.mark.parametrize("out_dir_exists", [False, True])
+def test_files_reach_out_dir_only_after_the_last_is_written(tmp_path, out_dir_exists):
+    out_dir = tmp_path / "a" / "out"
+    if out_dir_exists:
+        out_dir.mkdir(parents=True)
+        (out_dir / "keep.txt").write_text("kept")
+        (out_dir / "report.json").write_text("old")
+
+    def files():
+        yield "report.json", "{}\n"
+        yield os.path.join("ccdf", "A_positive.csv"), "x,ccdf\n"
+        if out_dir_exists:  # the staging directory sits inside out_dir
+            assert sorted(n for n in os.listdir(out_dir) if not n.startswith(".fxnet-")) == [
+                "keep.txt", "report.json"]
+            assert (out_dir / "report.json").read_text() == "old"
+        else:
+            assert not (tmp_path / "a").exists()
+        yield "sweep.csv", "c_th\n"
+
+    write_files(str(out_dir), files())
+    written = {rel: _read_bytes(path) for rel, path in _all_files(out_dir).items()}
+    assert written == {
+        **({"keep.txt": b"kept"} if out_dir_exists else {}),
+        "report.json": b"{}\n",
+        os.path.join("ccdf", "A_positive.csv"): b"x,ccdf\n",
+        "sweep.csv": b"c_th\n",
+    }
+    assert _staging_dirs(tmp_path) == []
+
+
+@pytest.mark.parametrize("rel", [os.path.join("ccdf", os.pardir, os.pardir, "x.csv"),
+                                 os.path.abspath("x.csv")], ids=["parent", "absolute"])
+def test_a_path_leaving_out_dir_is_an_export_error(tmp_path, rel):
+    out_dir = tmp_path / "a" / "out"
+    with pytest.raises(StageError, match="leaves the output directory"):
+        write_files(str(out_dir), [("report.json", "{}\n"), (rel, "x\n")])
+    assert os.listdir(tmp_path) == []
+
+
+def test_new_out_dir_is_renamed_into_place_whole(tmp_path, monkeypatch):
+    def no_replace(src, dst):
+        raise OSError("os.replace called")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    out_dir = tmp_path / "a" / "out"
+    write_files(str(out_dir), [("report.json", "{}\n"), (os.path.join("ccdf", "x.csv"), "x\n")])
+    assert set(_all_files(out_dir)) == {"report.json", os.path.join("ccdf", "x.csv")}
+
+
+def test_new_out_dir_has_the_mode_of_mkdir(tmp_path):
+    def mode(path):
+        return stat.S_IMODE(os.stat(path).st_mode)
+
+    old = os.umask(0o022)
+    try:
+        os.mkdir(tmp_path / "plain")
+        write_files(str(tmp_path / "out"), [(os.path.join("ccdf", "x.csv"), "x\n")])
+    finally:
+        os.umask(old)
+    assert mode(tmp_path / "out") == mode(tmp_path / "plain") == 0o755
+    assert mode(tmp_path / "out" / "ccdf") == 0o755
+
+
+def test_subcommands_add_their_files_to_one_out_dir(tmp_path):
+    prices, meta = synthetic_price_files(tmp_path)
+    io_args = ["--prices", prices, "--metadata", meta]
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    (shared / "keep.txt").write_text("kept")
+    expected = {"keep.txt": b"kept"}
+    for cmd in ("tails", "spectrum"):
+        assert cli_main([cmd, *io_args, "--out-dir", str(tmp_path / cmd)]) == 0
+        expected.update({rel: _read_bytes(path)
+                         for rel, path in _all_files(tmp_path / cmd).items()})
+        assert cli_main([cmd, *io_args, "--out-dir", str(shared)]) == 0
+    assert "rmt_bounds.json" in expected and "tail_fits.json" in expected
+    assert {rel: _read_bytes(path) for rel, path in _all_files(shared).items()} == expected
+    assert _staging_dirs(tmp_path) == []
