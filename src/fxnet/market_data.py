@@ -110,6 +110,8 @@ def parse_asset_metadata(text: str) -> dict[str, AssetMeta]:
             raise PanelError("empty asset code in metadata")
         if not code.isprintable():
             raise PanelError(f"metadata line {lineno}: non-printable code {code!r}")
+        if "/" in code or "\\" in code:
+            raise PanelError(f"metadata line {lineno}: code {code!r} holds a path separator")
         if code in metas:
             raise PanelError(f"duplicate asset code in metadata: {code}")
         market_class = raw_class.strip().lower()

@@ -17,13 +17,13 @@ MIN_CLUSTER_SIZE = 3
 
 @dataclass(frozen=True)
 class Graph:
-    nodes: tuple[tuple[int, AssetMeta], ...]  # (panel index, meta)
+    assets: tuple[AssetMeta, ...]  # node i is asset i
     edges: tuple[tuple[int, int, float], ...]  # (i, j, weight) with i < j
     kind: str  # "mst" or "threshold"
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.assets)
 
     def degrees(self) -> np.ndarray:
         return np.bincount([v for i, j, _ in self.edges for v in (i, j)], minlength=self.n_nodes)
@@ -99,10 +99,6 @@ def mantegna_distance(c: CorrelationMatrix | np.ndarray) -> np.ndarray:
     return d
 
 
-def _nodes_for(assets: tuple[AssetMeta, ...]) -> tuple[tuple[int, AssetMeta], ...]:
-    return tuple((i, a) for i, a in enumerate(assets))
-
-
 def _matrix_for(m: np.ndarray, assets: tuple[AssetMeta, ...], what: str) -> np.ndarray:
     """m as a float array, checked to have one row per asset."""
     m = np.asarray(m, dtype=float)
@@ -120,7 +116,7 @@ def minimum_spanning_tree(d: np.ndarray, assets: tuple[AssetMeta, ...]) -> Graph
     edges = [(i, j, float(d[i, j])) for i, j in _kruskal(d)]
     if len(edges) != len(assets) - 1:
         raise ValueError("distance matrix does not yield a connected tree")
-    return Graph(nodes=_nodes_for(assets), edges=tuple(edges), kind="mst")
+    return Graph(assets=tuple(assets), edges=tuple(edges), kind="mst")
 
 
 def threshold_network(
@@ -131,7 +127,7 @@ def threshold_network(
     c_group = _matrix_for(c_group, assets, "matrix")
     rows, cols = np.nonzero(np.triu(c_group > c_th, k=1))
     edges = tuple(zip(rows.tolist(), cols.tolist(), c_group[rows, cols].tolist()))
-    return Graph(nodes=_nodes_for(assets), edges=edges, kind="threshold")
+    return Graph(assets=tuple(assets), edges=edges, kind="threshold")
 
 
 def cluster_report(g: Graph, hub_sigma: float = DEFAULT_HUB_SIGMA) -> ClusterReport:

@@ -125,7 +125,7 @@ def export_pajek(g: Graph) -> str:
     double quotes with `\\` and `"` backslash-escaped, so that a shell-style
     split (the rule Pajek readers such as networkx use) gives the code back."""
     lines = [f"*Vertices {g.n_nodes}"]
-    for idx, meta in g.nodes:
+    for idx, meta in enumerate(g.assets):
         label = meta.code.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'{idx + 1} "{label}"')
     lines.append("*Edges")
@@ -146,7 +146,7 @@ def export_graph_json(g: Graph) -> str:
                 "market_class": meta.market_class,
                 "region": meta.region,
             }
-            for idx, meta in g.nodes
+            for idx, meta in enumerate(g.assets)
         ],
         "edges": [[i, j, w] for i, j, w in g.edges],
     }
@@ -432,7 +432,7 @@ def write_files(out_dir: str, files: Iterable[tuple[str, str]]) -> None:
 # pipeline
 
 def _cluster_summary(report: ClusterReport, g: Graph) -> dict[str, Any]:
-    codes = {idx: meta.code for idx, meta in g.nodes}
+    codes = [meta.code for meta in g.assets]
     return {
         "n_edges": len(g.edges),
         "total_weight": float(sum(w for _, _, w in g.edges)),

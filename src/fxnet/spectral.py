@@ -12,7 +12,6 @@ import numpy as np
 from .market_data import PanelError, ReturnPanel, _freeze
 
 SYMMETRY_TOL = 1e-12
-DEGENERACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,10 +76,9 @@ def correlation_matrix(rp: ReturnPanel) -> CorrelationMatrix:
 def eigendecompose(cm: CorrelationMatrix) -> SpectralDecomposition:
     """LAPACK symmetric eigendecomposition with a fixed ordering and sign convention.
 
-    Eigenvalues are sorted descending; within a degenerate block eigenvectors
-    are ordered by the index of their largest-magnitude component; each
-    eigenvector is flipped so that component is positive, then scaled to
-    sum_i u_ji^2 = N.
+    Eigenvalues are sorted descending by a stable sort, so equal eigenvalues
+    keep LAPACK's order; each eigenvector is flipped so that its
+    largest-magnitude component is positive, then scaled to sum_i u_ji^2 = N.
     """
     cm.validate()
     n = cm.size
@@ -88,21 +86,6 @@ def eigendecompose(cm: CorrelationMatrix) -> SpectralDecomposition:
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = v[:, order].T  # row per eigenvector
-
-    # reorder degenerate blocks by the index of the dominant component
-    i = 0
-    while i < n:
-        j = i + 1
-        scale = max(1.0, abs(vals[i]))
-        while j < n and abs(vals[j] - vals[i]) <= DEGENERACY_TOL * scale:
-            j += 1
-        if j - i > 1:
-            block = vecs[i:j]
-            dominant = [int(np.argmax(np.abs(row))) for row in block]
-            perm = np.argsort(dominant, kind="stable")
-            vecs[i:j] = block[perm]
-            vals[i:j] = vals[i:j][perm]
-        i = j
 
     for j in range(n):
         dom = int(np.argmax(np.abs(vecs[j])))

@@ -43,7 +43,8 @@ def _side_values(samples: np.ndarray, side: str) -> np.ndarray:
     if side not in SIDES:
         raise TailFitError(f"side must be one of {SIDES}, got {side!r}")
     samples = np.asarray(samples, dtype=float)
-    return -samples if side == "negative" else samples
+    # + 0.0 turns -0.0 into 0.0, so a zero prints the same on either side
+    return (-samples if side == "negative" else samples) + 0.0
 
 
 def fit_tail_exponent(
@@ -88,12 +89,9 @@ def tail_survival(samples: np.ndarray, side: str = "positive") -> list[tuple[flo
     x = _side_values(samples, side)
     if x.size == 0:
         raise TailFitError("empty sample vector")
-    xs = np.sort(x)
-    # return_index keeps the first of equal values in xs; plain np.unique sorts
-    # again and may keep a zero of the other sign, which prints differently
-    values, _ = np.unique(xs, return_index=True)
-    n = xs.size
-    # count strictly greater: everything after the last occurrence of each value
-    greater = n - np.searchsorted(xs, values, side="right")
+    values, counts = np.unique(x, return_counts=True)
+    n = x.size
+    # count strictly greater: all samples but those at or below each value
+    greater = n - np.cumsum(counts)
     keep = greater > 0
     return list(zip(values[keep].tolist(), (greater[keep] / n).tolist()))

@@ -86,19 +86,19 @@ def jacobi_eigh(m, max_sweeps=100):
 
 
 def tail_survival_loop(samples, side="positive"):
-    """Empirical CCDF (x, P(X > x)) by one count per unique value."""
+    """Empirical CCDF (x, P(X > x)) by one count per unique value; a zero of
+    either sign is reported as 0.0."""
     x = np.asarray(samples, dtype=float)
     if side == "negative":
         x = -x
     xs = np.sort(x)
-    values, first_idx = np.unique(xs, return_index=True)
     n = xs.size
     out = []
-    for v, idx in zip(values, first_idx):
+    for v in np.unique(xs):
         # count strictly greater: everything after the last occurrence of v
         greater = n - np.searchsorted(xs, v, side="right")
         if greater > 0:
-            out.append((float(v), greater / n))
+            out.append((0.0 if v == 0 else float(v), greater / n))
     return out
 
 

@@ -152,6 +152,13 @@ def test_non_printable_code_is_a_panel_error_naming_its_line(code):
         parse_asset_metadata(meta)
 
 
+@pytest.mark.parametrize("code", ["d/e", "../../esc", "a\\b"])
+def test_code_holding_a_path_separator_is_a_panel_error_naming_its_line(code):
+    meta = META_HEADER + f"1,AAA,A,developed,X\n2,{code},B,developed,Y\n"
+    with pytest.raises(PanelError, match=r"metadata line 3: code .* path separator"):
+        parse_asset_metadata(meta)
+
+
 _TOKENS = st.sampled_from([
     "", " ", "0", "1", "2", "3", "-1", "1.5", "1e999", "nan", "inf", "x", '"', '""', '"a,b"',
     "AAA", "BBB", "CCC", "developed", "emerging", "frontier",

@@ -29,9 +29,7 @@ from oracles import read_json_report, read_pajek
 
 def two_node_graph(weight=0.5):
     assets = make_assets(2)
-    return Graph(
-        nodes=tuple(enumerate(assets)), edges=((0, 1, weight),), kind="mst"
-    )
+    return Graph(assets=tuple(assets), edges=((0, 1, weight),), kind="mst")
 
 
 class TestPajekExport:
@@ -62,7 +60,7 @@ class TestPajekExport:
         codes = ["D\"D", "X\\Y", "A B", "A00"]
         assets = tuple(dataclasses.replace(a, code=c) for a, c in zip(make_assets(4), codes))
         lines = export_pajek(
-            Graph(nodes=tuple(enumerate(assets)), edges=((0, 1, 0.5),), kind="mst")
+            Graph(assets=tuple(assets), edges=((0, 1, 0.5),), kind="mst")
         ).splitlines()
         assert [shlex.split(line) for line in lines[1:5]] == [
             [str(k + 1), code] for k, code in enumerate(codes)
@@ -463,6 +461,16 @@ def test_codes_needing_quotes_round_trip_through_every_csv(tmp_path):
             assert widths == {len(codes) + 1}, rel
         if rel in matrices or rel in ("returns.csv", "sigma.csv"):
             assert [row[0] for row in rows[1:]] == codes, rel
+
+
+@pytest.mark.parametrize("code", ["d/e", "../../esc", "a\\b"])
+def test_code_holding_a_path_separator_fails_at_ingest(tmp_path, capsys, code):
+    prices, meta = _quoted_code_files(tmp_path, ["A", code, "C"])
+    out_dir = tmp_path / "out"
+    assert cli_main(["report", "--prices", prices, "--metadata", meta,
+                     "--out-dir", str(out_dir), "--surrogates", "1"]) == 1
+    assert "error [ingest]" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @given(st.lists(st.one_of(st.floats(), st.integers(-10**6, 10**6)), min_size=2,

@@ -82,6 +82,16 @@ class TestEigendecompose:
             oracle = charpoly_eigenvalues(cm.values)
             assert np.abs(sd.eigenvalues - oracle).max() < 1e-8
 
+    def test_near_degenerate_spectrum_is_descending(self):
+        # two 2 x 2 blocks whose couplings differ by 1e-12: the eigenvalue
+        # pairs 1.5 and 0.5 each lie within 1e-12 of each other
+        c = np.zeros((4, 4))
+        c[:2, :2] = [[1.0, 0.5 + 1e-12], [0.5 + 1e-12, 1.0]]
+        c[2:, 2:] = [[1.0, 0.5], [0.5, 1.0]]
+        lam = eigendecompose(CorrelationMatrix(c)).eigenvalues
+        assert np.all(np.diff(lam) <= 0), lam
+        assert lam == pytest.approx([1.5, 1.5, 0.5, 0.5], abs=1e-11)
+
     def test_normalization_and_reconstruction(self, rng):
         cm = random_correlation(rng, 12)
         sd = eigendecompose(cm)
@@ -123,10 +133,18 @@ class TestEigendecompose:
         # near-degenerate pairs get a loose bound instead of a fixed one.
         # n * eps covers the rounding in evaluating the differences themselves.
         eps = np.finfo(float).eps
-        for trial in range(40):
+        for trial in range(46):
             rng = np.random.default_rng([2, trial])
             n = 2 + trial % 19  # sizes 2..20
-            if trial % 2:
+            if trial >= 40:
+                # pegged panels: 2..7 assets track asset 0 up to 1e-5 noise,
+                # which leaves as many eigenvalues near 1e-10, less than 1e-9 apart
+                n = 12
+                rows = rng.standard_normal((n, 200))
+                pegged = trial - 38
+                rows[1 : 1 + pegged] = rows[0] + 1e-5 * rng.standard_normal((pegged, 200))
+                rp = normalize_returns(panel_from_returns(rows))
+            elif trial % 2:
                 rp, _ = planted_group_panel(rng, n=n, t=200, group_size=max(1, n // 3))
             else:
                 rp = normalized_noise_panel(rng, n, 200 if trial % 4 else 3 * n)

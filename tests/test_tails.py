@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fxnet.report import export_ccdf_csv
 from fxnet.tails import (
     TailFitError,
     fit_tail_exponent,
@@ -112,6 +113,16 @@ class TestTailSurvival:
         x = np.where(rng.random(size) < 0.5, rng.choice(pool, size),
                      rng.standard_normal(size))
         assert _bits(tail_survival(x, side)) == _bits(tail_survival_loop(x, side))
+
+    def test_zeros_print_unsigned_on_either_side(self):
+        x = np.array([1.0, 0.0, -2.0, -1.0])
+        text = export_ccdf_csv(tail_survival(x, "negative"))
+        assert text.splitlines()[1:3] == ["-1,0.75", "0,0.5"]
+        for side in ("positive", "negative"):
+            texts = [export_ccdf_csv(tail_survival(np.array([*zeros, -2.0, 1.0]), side))
+                     for zeros in ([0.0, -0.0], [-0.0, 0.0])]
+            assert texts[0] == texts[1], side
+            assert "\n0," in texts[0] and "-0," not in texts[0], side
 
     def test_counting_fixture(self):
         out = tail_survival(np.array([1.0, 2.0, 3.0]), "positive")
