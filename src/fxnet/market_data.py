@@ -6,6 +6,7 @@ import csv
 import datetime
 import io
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,6 +15,7 @@ MARKET_CLASSES = ("developed", "emerging", "frontier")
 
 DEFAULT_FILL_LIMIT = 5
 PEG_GUARD_SIGMA = 1e-10
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class PanelError(ValueError):
@@ -87,6 +89,14 @@ def _csv_rows(text: str, table: str):
         raise PanelError(f"{table} line {reader.line_num}: {exc}") from None
 
 
+def _iso_date(text: str) -> datetime.date:
+    """A `YYYY-MM-DD` date. date.fromisoformat alone also takes `20200101`
+    and `2020-W01-1` from Python 3.11 on."""
+    if _ISO_DATE.fullmatch(text) is None:
+        raise ValueError(f"not YYYY-MM-DD: {text!r}")
+    return datetime.date.fromisoformat(text)
+
+
 def parse_asset_metadata(text: str) -> dict[str, AssetMeta]:
     """Parse `index,code,name,market_class,region` rows into a code -> meta map."""
     records = _csv_rows(text, "metadata")
@@ -107,13 +117,13 @@ def parse_asset_metadata(text: str) -> dict[str, AssetMeta]:
         raw_index, code, name, raw_class, region = row[: len(expected)]
         code = code.strip()
         if not code:
-            raise PanelError("empty asset code in metadata")
+            raise PanelError(f"metadata line {lineno}: empty asset code")
         if not code.isprintable():
             raise PanelError(f"metadata line {lineno}: non-printable code {code!r}")
         if "/" in code or "\\" in code:
             raise PanelError(f"metadata line {lineno}: code {code!r} holds a path separator")
         if code in metas:
-            raise PanelError(f"duplicate asset code in metadata: {code}")
+            raise PanelError(f"metadata line {lineno}: duplicate asset code {code}")
         market_class = raw_class.strip().lower()
         if market_class not in MARKET_CLASSES:
             raise PanelError(f"unknown market class {raw_class!r} for {code}")
@@ -168,7 +178,6 @@ def parse_price_panel(
     rows: list[list[float]] = []
     last_value: list[float | None] = [None] * n
     gap_run: list[int] = [0] * n
-    seen_dates: set[datetime.date] = set()
     prev_date: datetime.date | None = None
 
     for lineno, row in records:
@@ -177,14 +186,12 @@ def parse_price_panel(
         if len(row) != n + 1:
             raise PanelError(f"line {lineno}: expected {n + 1} fields, got {len(row)}")
         try:
-            date = datetime.date.fromisoformat(row[0].strip())
+            date = _iso_date(row[0].strip())
         except ValueError as exc:
             raise PanelError(f"line {lineno}: bad date {row[0]!r}") from exc
-        if date in seen_dates:
-            raise PanelError(f"duplicate date {date.isoformat()}")
         if prev_date is not None and date <= prev_date:
-            raise PanelError(f"dates not strictly increasing at {date.isoformat()}")
-        seen_dates.add(date)
+            problem = "duplicate date" if date == prev_date else "dates not strictly increasing at"
+            raise PanelError(f"line {lineno}: {problem} {date.isoformat()}")
         prev_date = date
 
         values: list[float] = []

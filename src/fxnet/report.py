@@ -159,8 +159,15 @@ def export_histogram_csv(histograms: dict[str, list[tuple[float, float]]]) -> st
     return _csv(["bin_center", "density", "component"], rows)
 
 
-def export_ccdf_csv(points: list[tuple[float, float]]) -> str:
-    return _csv(["x", "ccdf"], points)
+def export_ccdf_csv(x: np.ndarray, greater: np.ndarray, column: Sequence[str]) -> str:
+    """`x,ccdf` rows of one CCDF, as `tails.survival_counts` gives them: each
+    x to 12 significant digits beside column[k], the printed P(X > x) of its
+    count k of greater samples. Equal to `_csv` of `tails.tail_survival`'s
+    pairs, with one `%` for the whole file."""
+    cells: list[Any] = [None] * (2 * len(x))
+    cells[::2] = x.tolist()
+    cells[1::2] = [column[k] for k in greater.tolist()]
+    return "x,ccdf\n" + ("%.12g,%s\n" * len(x)) % tuple(cells)
 
 
 def export_spectrum_csv(sd: SpectralDecomposition) -> str:
@@ -205,11 +212,14 @@ def returns_files(rp: ReturnPanel) -> Files:
 
 def ccdf_files(rp: ReturnPanel, template: str) -> Files:
     """The empirical CCDF of each tail of each asset, one file per series,
-    at template.format(f"{code}_{side}")."""
+    at template.format(f"{code}_{side}"). Every series has n = rp.n_steps
+    samples, so the ccdf column is printed once, for each count k < n."""
+    n = rp.n_steps
+    column = ["%.12g" % (k / n) for k in range(n)]
     for meta, row in zip(rp.assets, rp.returns):
         for side in tails.SIDES:
             yield (template.format(f"{meta.code}_{side}"),
-                   export_ccdf_csv(tails.tail_survival(row, side)))
+                   export_ccdf_csv(*tails.survival_counts(row, side), column))
 
 
 def spectrum_files(

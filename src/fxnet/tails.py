@@ -84,14 +84,19 @@ def fit_tail_exponent(
     )
 
 
-def tail_survival(samples: np.ndarray, side: str = "positive") -> list[tuple[float, float]]:
-    """Empirical CCDF (x, P(X > x)) on sorted unique values, zero tail dropped."""
+def survival_counts(samples: np.ndarray, side: str = "positive") -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique values of one tail and, for each, the count of samples
+    strictly greater; the largest value, whose count is 0, is dropped."""
     x = _side_values(samples, side)
     if x.size == 0:
         raise TailFitError("empty sample vector")
     values, counts = np.unique(x, return_counts=True)
-    n = x.size
     # count strictly greater: all samples but those at or below each value
-    greater = n - np.cumsum(counts)
-    keep = greater > 0
-    return list(zip(values[keep].tolist(), (greater[keep] / n).tolist()))
+    greater = x.size - np.cumsum(counts)
+    return values[:-1], greater[:-1]
+
+
+def tail_survival(samples: np.ndarray, side: str = "positive") -> list[tuple[float, float]]:
+    """Empirical CCDF (x, P(X > x)) on sorted unique values, zero tail dropped."""
+    values, greater = survival_counts(samples, side)
+    return list(zip(values.tolist(), (greater / np.size(samples)).tolist()))

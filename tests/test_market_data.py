@@ -159,6 +159,42 @@ def test_code_holding_a_path_separator_is_a_panel_error_naming_its_line(code):
         parse_asset_metadata(meta)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("2, ,B,developed,Y", "metadata line 3: empty asset code"),
+     ("2,AAA,B,developed,Y", "metadata line 3: duplicate asset code AAA")],
+    ids=["empty", "duplicate"],
+)
+def test_bad_metadata_code_is_a_panel_error_naming_its_line(row, message):
+    with pytest.raises(PanelError, match=f"^{message}$"):
+        parse_asset_metadata(META_HEADER + f"1,AAA,A,developed,X\n{row}\n")
+
+
+@pytest.mark.parametrize(
+    "dates, message",
+    [(["2020-01-01", "2020-01-02", "2020-01-02", "2020-01-04"],
+      "line 4: duplicate date 2020-01-02"),
+     (["2020-01-01", "2020-01-03", "2020-01-02", "2020-01-04"],
+      "line 4: dates not strictly increasing at 2020-01-02"),
+     # a repeat of an earlier, non-adjacent date is out of order first
+     (["2020-01-01", "2020-01-02", "2020-01-03", "2020-01-01"],
+      "line 5: dates not strictly increasing at 2020-01-01")],
+    ids=["duplicate", "decreasing", "non-adjacent-repeat"],
+)
+def test_date_out_of_order_is_a_panel_error_naming_its_line(dates, message):
+    table = [[1.0, 2.0, 3.0]] * 4
+    with pytest.raises(PanelError, match=f"^{message}$"):
+        parse_price_panel(price_csv(CODES, dates, table), meta_csv(CODES))
+
+
+@pytest.mark.parametrize("date", ["20200101", "2020-W01-1", "2020-1-1"])
+def test_only_yyyy_mm_dd_dates_are_read(date):
+    # date.fromisoformat takes the first two from Python 3.11 on, not on 3.10
+    table = simple_table().replace("2020-01-01", date)
+    with pytest.raises(PanelError, match=f"^line 2: bad date '{date}'$"):
+        parse_price_panel(table, meta_csv(CODES))
+
+
 _TOKENS = st.sampled_from([
     "", " ", "0", "1", "2", "3", "-1", "1.5", "1e999", "nan", "inf", "x", '"', '""', '"a,b"',
     "AAA", "BBB", "CCC", "developed", "emerging", "frontier",

@@ -17,7 +17,7 @@ from fxnet.report import (
     AnalysisReport,
     PipelineConfig,
     StageError,
-    export_ccdf_csv,
+    _csv,
     export_histogram_csv,
     export_json_report,
     export_pajek,
@@ -477,7 +477,7 @@ def test_code_holding_a_path_separator_fails_at_ingest(tmp_path, capsys, code):
                 max_size=40))
 def test_csv_numbers_keep_12_significant_digits(values):
     points = list(zip(values[::2], values[1::2]))
-    lines = export_ccdf_csv(points).splitlines()
+    lines = _csv(["x", "ccdf"], points).splitlines()
     assert lines == ["x,ccdf"] + [f"{float(x):.12g},{float(p):.12g}" for x, p in points]
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fxnet.report import export_ccdf_csv
+from conftest import make_assets
+from fxnet.market_data import ReturnPanel
+from fxnet.report import _csv, ccdf_files
 from fxnet.tails import (
     TailFitError,
     fit_tail_exponent,
@@ -12,6 +14,26 @@ from fxnet.tails import (
     tail_survival,
 )
 from oracles import pareto_samples, tail_survival_loop
+
+# a small pool of values (ties, both signed zeros) mixed with normal noise;
+# numpy's sort leaves -0.0 and 0.0 in no fixed order, so which zero comes
+# first in a run varies with the size and the draw
+POOLS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=6,
+)
+
+
+def _pooled_draw(pool, size, seed):
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(size) < 0.5, rng.choice(pool, size), rng.standard_normal(size))
+
+
+def _ccdf_texts(x):
+    """The CCDF file text of each side of one series, as `ccdf_files` writes it."""
+    rp = ReturnPanel(assets=make_assets(1), returns=np.asarray([x]), sigma=np.ones(1),
+                     normalized=True)
+    return dict(ccdf_files(rp, "{}"))
 
 
 class TestHillEstimate:
@@ -94,32 +116,18 @@ def _bits(points):
 
 
 class TestTailSurvival:
-    # Draws mix a small pool of values (ties, both signed zeros) with normal
-    # noise. numpy's sort leaves -0.0 and 0.0 in no fixed order, so which zero
-    # comes first in a run varies with the size and the draw.
     @settings(max_examples=200, deadline=None)
-    @given(
-        pool=st.lists(
-            st.one_of(st.sampled_from([0.0, -0.0]),
-                      st.floats(allow_nan=False, allow_infinity=False)),
-            min_size=1, max_size=6,
-        ),
-        size=st.integers(1, 3000),
-        seed=st.integers(0, 2**32 - 1),
-        side=st.sampled_from(["positive", "negative"]),
-    )
+    @given(pool=POOLS, size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+           side=st.sampled_from(["positive", "negative"]))
     def test_matches_loop_oracle_bit_for_bit(self, pool, size, seed, side):
-        rng = np.random.default_rng(seed)
-        x = np.where(rng.random(size) < 0.5, rng.choice(pool, size),
-                     rng.standard_normal(size))
+        x = _pooled_draw(pool, size, seed)
         assert _bits(tail_survival(x, side)) == _bits(tail_survival_loop(x, side))
 
     def test_zeros_print_unsigned_on_either_side(self):
-        x = np.array([1.0, 0.0, -2.0, -1.0])
-        text = export_ccdf_csv(tail_survival(x, "negative"))
+        text = _ccdf_texts(np.array([1.0, 0.0, -2.0, -1.0]))["A00_negative"]
         assert text.splitlines()[1:3] == ["-1,0.75", "0,0.5"]
         for side in ("positive", "negative"):
-            texts = [export_ccdf_csv(tail_survival(np.array([*zeros, -2.0, 1.0]), side))
+            texts = [_ccdf_texts(np.array([*zeros, -2.0, 1.0]))[f"A00_{side}"]
                      for zeros in ([0.0, -0.0], [-0.0, 0.0])]
             assert texts[0] == texts[1], side
             assert "\n0," in texts[0] and "-0," not in texts[0], side
@@ -156,3 +164,18 @@ class TestTailSurvival:
     def test_empty_rejected(self):
         with pytest.raises(TailFitError):
             tail_survival(np.array([]), "positive")
+
+
+class TestCcdfText:
+    @settings(max_examples=200, deadline=None)
+    @given(pool=POOLS, size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_csv_of_loop_oracle(self, pool, size, seed):
+        x = _pooled_draw(pool, size, seed)
+        texts = _ccdf_texts(x)
+        for side in ("positive", "negative"):
+            assert texts[f"A00_{side}"] == _csv(["x", "ccdf"], tail_survival_loop(x, side)), side
+
+    @pytest.mark.parametrize("size", [1, 2, 3000])
+    def test_values_all_tied_at_the_maximum_give_the_header_alone(self, size):
+        texts = _ccdf_texts(np.full(size, -0.5))
+        assert texts == {"A00_positive": "x,ccdf\n", "A00_negative": "x,ccdf\n"}
