@@ -1,10 +1,21 @@
 """Independent reference implementations used only to check results."""
 
+import datetime
 import itertools
 import json
 import math
 
 import numpy as np
+
+from fxnet.market_data import (
+    DEFAULT_FILL_LIMIT,
+    PanelError,
+    PricePanel,
+    _csv_rows,
+    _freeze,
+    _iso_date,
+    parse_asset_metadata,
+)
 
 
 def charpoly_coefficients(m):
@@ -273,3 +284,89 @@ def component_labels(components, n, offset=0):
             labels[i] = next_label
             next_label += 1
     return labels
+
+
+def parse_price_panel_loop(
+    raw_table: str,
+    meta: str,
+    fill_limit: int = DEFAULT_FILL_LIMIT,
+) -> PricePanel:
+    """Parse a `date,CODE1,CODE2,...` price table against its metadata table,
+    one cell at a time (the reference for `parse_price_panel`).
+
+    Short quote gaps are forward-filled (at most `fill_limit` consecutive rows
+    per asset); dates still incomplete after filling are dropped so that the
+    surviving panel stays cross-sectionally aligned.
+    """
+    metas = parse_asset_metadata(meta)
+    records = _csv_rows(raw_table, "price table")
+    _, header = next(records, (0, None))
+    if header is None:
+        raise PanelError("empty price table")
+    if not header or header[0].strip().lower() != "date":
+        raise PanelError("price table header must start with 'date'")
+    codes = [c.strip() for c in header[1:]]
+    if len(codes) < 2:
+        raise PanelError("price table must contain at least 2 assets")
+    for code in codes:
+        if code not in metas:
+            raise PanelError(f"unknown asset code in price table: {code}")
+    if len(set(codes)) != len(codes):
+        raise PanelError("duplicate asset column in price table")
+
+    n = len(codes)
+    dates: list[datetime.date] = []
+    rows: list[list[float]] = []
+    last_value: list[float | None] = [None] * n
+    gap_run: list[int] = [0] * n
+    prev_date: datetime.date | None = None
+
+    for lineno, row in records:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != n + 1:
+            raise PanelError(f"line {lineno}: expected {n + 1} fields, got {len(row)}")
+        try:
+            date = _iso_date(row[0].strip())
+        except ValueError as exc:
+            raise PanelError(f"line {lineno}: bad date {row[0]!r}") from exc
+        if prev_date is not None and date <= prev_date:
+            problem = "duplicate date" if date == prev_date else "dates not strictly increasing at"
+            raise PanelError(f"line {lineno}: {problem} {date.isoformat()}")
+        prev_date = date
+
+        values: list[float] = []
+        complete = True
+        for j, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if cell:
+                try:
+                    price = float(cell)
+                except ValueError as exc:
+                    raise PanelError(
+                        f"line {lineno}: non-numeric price {cell!r} for {codes[j]}"
+                    ) from exc
+                if not math.isfinite(price) or price <= 0:
+                    raise PanelError(
+                        f"line {lineno}: non-positive price {cell!r} for {codes[j]}"
+                    )
+                last_value[j] = price
+                gap_run[j] = 0
+                values.append(price)
+            else:
+                gap_run[j] += 1
+                if last_value[j] is not None and gap_run[j] <= fill_limit:
+                    values.append(last_value[j])
+                else:
+                    complete = False
+                    values.append(float("nan"))
+        if complete:
+            dates.append(date)
+            rows.append(values)
+
+    if len(dates) < 3:
+        raise PanelError(f"only {len(dates)} complete dates survive alignment, need >= 3")
+
+    assets = tuple(metas[c] for c in codes)
+    prices = _freeze(np.array(rows, dtype=float).T)
+    return PricePanel(assets=assets, dates=tuple(dates), prices=prices)

@@ -1,3 +1,4 @@
+import datetime
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_assets, meta_csv, panel_from_returns, price_csv
+from oracles import parse_price_panel_loop
 from fxnet.market_data import (
     PanelError,
     PeggedAssetError,
+    _read_prices_vectorised,
     compute_log_returns,
     normalize_returns,
     parse_asset_metadata,
@@ -91,6 +94,11 @@ class TestParsePricePanel:
         with pytest.raises(PanelError, match="duplicate date"):
             parse_price_panel(price_csv(CODES, dates, table), meta_csv(CODES))
 
+    def test_negative_fill_limit_rejected(self):
+        raw = simple_table({(2, 1): None})
+        with pytest.raises(PanelError, match="^fill_limit must be >= 0, got -1$"):
+            parse_price_panel(raw, meta_csv(CODES), fill_limit=-1)
+
     def test_too_few_surviving_dates(self):
         dates = DATES[:3]
         table = [[1.0, None, 3.0], [1.1, None, 3.1], [1.2, None, 3.2]]
@@ -99,6 +107,16 @@ class TestParsePricePanel:
 
 
 class TestMetadata:
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1,AAA,A,upcoming,X", "metadata line 2: unknown market class 'upcoming' for AAA"),
+         ("x,AAA,A,developed,X", "metadata line 2: non-integer index for AAA: 'x'")],
+        ids=["market-class", "index"],
+    )
+    def test_bad_row_is_a_panel_error_naming_its_line(self, row, message):
+        with pytest.raises(PanelError, match=f"^{message}$"):
+            parse_asset_metadata(META_HEADER + row + "\n")
+
     def test_non_contiguous_indices_rejected(self):
         text = "index,code,name,market_class,region\n1,AAA,A,developed,X\n3,BBB,B,emerging,Y\n"
         with pytest.raises(PanelError, match="contiguous"):
@@ -197,6 +215,7 @@ def test_only_yyyy_mm_dd_dates_are_read(date):
 
 _TOKENS = st.sampled_from([
     "", " ", "0", "1", "2", "3", "-1", "1.5", "1e999", "nan", "inf", "x", '"', '""', '"a,b"',
+    " 1.5", "2 ", "\t3", "1_0", "\u0661", "NaN", "-inf", "Infinity", "1e-400",
     "AAA", "BBB", "CCC", "developed", "emerging", "frontier",
     "2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04", "2020-02-30",
 ])
@@ -234,6 +253,113 @@ def test_parse_price_panel_raises_only_panel_error(raw_table, meta, fill_limit):
         parse_price_panel(raw_table, meta, fill_limit)
     except PanelError:
         pass
+
+
+# Price cells: numbers with up to 26 significant digits (some padded with
+# whitespace) and blanks; and cells that one reader might take and the other not.
+_NUMBERS = (
+    st.floats(min_value=1e-300, max_value=1e300).map(repr)
+    | st.builds("{}.{:015d}e{}".format, st.integers(0, 10**10), st.integers(0, 10**15 - 1),
+                st.integers(-20, 20))
+    | st.integers(1, 10**6).map(str)
+)
+_CELLS = st.one_of(
+    _NUMBERS, _NUMBERS, _NUMBERS, st.just(""),
+    st.builds("{}{}{}".format, st.sampled_from([" ", "\t", ""]), _NUMBERS,
+              st.sampled_from([" ", "  ", ""])),
+)
+ODD_CELLS = [
+    " ", "\t", "nan", "NaN", "inf", "-inf", "Infinity", "-1", "0", "0.0", "1e-400", "1e999",
+    "1_0", "\u0661", "\u0661.5", "+.5", "5.", "0x10", "1.5.2", "1 5", "\x00", "1\x00", "x",
+    "\u20281.5", "2\x0b", "\xa03", "0" * 131073 + "1",
+]
+_ODD_LINES = st.sampled_from(["", ",,,", " , , , ", ",,", ",,,,", "2099-01-01,1", "2020-01-01",
+                              "2099-01-01,1,2,3,4"])
+
+
+@st.composite
+def price_tables(draw):
+    """(price table text, fill_limit): rows of numbers and blanks under the
+    CODES header, with runs of blanks of fill_limit and fill_limit + 1 dates
+    (leading gaps among them), and in most tables one odd cell, date or line."""
+    fill_limit = draw(st.integers(0, 3))
+    cells = draw(st.lists(st.lists(_CELLS, min_size=3, max_size=3), min_size=2, max_size=12))
+    n_rows = len(cells)
+    for _ in range(draw(st.integers(0, 2))):
+        column = draw(st.integers(0, 2))
+        start = draw(st.integers(0, n_rows - 1))
+        for row in cells[start:start + fill_limit + draw(st.integers(0, 1))]:
+            row[column] = ""
+    steps = draw(st.lists(st.integers(1, 3), min_size=n_rows, max_size=n_rows))
+    dates = [datetime.date(2020, 1, 1) + datetime.timedelta(days=sum(steps[:k + 1]))
+             for k in range(n_rows)]
+    dates = [d.isoformat() for d in dates]
+    odd = draw(st.sampled_from(["none", "none", "cell", "cell", "cell", "cell", "date", "line"]))
+    k = draw(st.integers(0, n_rows - 1))
+    if odd == "cell":
+        cells[k][draw(st.integers(0, 2))] = draw(st.sampled_from(ODD_CELLS))
+    elif odd == "date":
+        dates[k] = draw(st.sampled_from(
+            [f" {dates[k]} ", dates[k].replace("-", ""), dates[k - 1], "2019-12-31"]))
+    lines = ["date," + ",".join(CODES)] + [",".join([d, *row]) for d, row in zip(dates, cells)]
+    if odd == "line":
+        lines.insert(draw(st.integers(1, len(lines))), draw(_ODD_LINES))
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), fill_limit
+
+
+def _parsed(parse, raw_table, fill_limit):
+    """A comparable outcome of one parser: the panel, bit for bit, or the
+    error's type and text."""
+    try:
+        panel = parse(raw_table, meta_csv(CODES), fill_limit)
+    except PanelError as exc:
+        return type(exc).__name__, str(exc)
+    assert panel.prices.dtype == float and panel.prices.flags.c_contiguous
+    return panel.dates, panel.assets, panel.prices.shape, panel.prices.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(table=price_tables())
+def test_parse_price_panel_matches_the_per_cell_loop(table):
+    raw_table, fill_limit = table
+    assert (_parsed(parse_price_panel, raw_table, fill_limit)
+            == _parsed(parse_price_panel_loop, raw_table, fill_limit))
+
+
+@pytest.mark.parametrize("cell", ODD_CELLS,
+                         ids=lambda cell: ascii(cell) if len(cell) < 9 else f"{len(cell)}-chars")
+def test_odd_cell_reads_as_in_the_per_cell_loop(cell):
+    for table in (simple_table({(1, 0): cell}), simple_table({(1, 0): cell, (2, 0): None})):
+        assert _parsed(parse_price_panel, table, 1) == _parsed(parse_price_panel_loop, table, 1)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {(1, 0): None}, {(0, 2): None, (3, 2): None}, {(1, 1): None, (2, 1): None},
+     {(1, 0): " 1.5", (2, 2): "2.5e0 ", (3, 1): "\t3"}],
+    ids=["complete", "interior-blank", "leading-and-last-blank", "run-of-two", "padded"],
+)
+def test_plain_tables_are_read_by_numpy(overrides):
+    """The differential test above only holds the numpy reader to the loop
+    if tables like these reach it."""
+    assert _read_prices_vectorised(simple_table(overrides), len(CODES)) is not None
+
+
+@pytest.mark.parametrize(
+    "table",
+    [simple_table({(1, 0): "nan"}), simple_table({(1, 0): "1e999"}),
+     simple_table({(1, 0): " "}), simple_table({(1, 0): "1_0"}),
+     simple_table({(1, 0): "\u0661"}), simple_table({(1, 0): "0" * 131073 + "1"}),
+     simple_table().replace("\n", "\r\n"), simple_table() + "2020-01-05,1,2,3,4\n",
+     simple_table() + ",,,\n", simple_table().replace("2020-01-03", "2020-01-02"),
+     'date,AAA,BBB,CCC\n2020-01-01,"1.0",2.0,3.0\n'],
+    ids=["nan", "inf", "whitespace", "underscore", "arabic-indic-digit", "over-field-limit",
+         "crlf", "long-row", "only-commas", "duplicate-date", "quoted"],
+)
+def test_other_tables_are_left_to_the_per_cell_loop(table):
+    assert _read_prices_vectorised(table, len(CODES)) is None
+    assert _parsed(parse_price_panel, table, 2) == _parsed(parse_price_panel_loop, table, 2)
 
 
 def panel_from_prices(rows):

@@ -320,6 +320,11 @@ class TestCli:
         assert os.path.exists(os.path.join(out_dir, "report.json"))
         assert "report written" in capsys.readouterr().out
 
+    def test_negative_fill_limit_is_an_ingest_error(self, inputs, capsys):
+        prices, meta, _ = inputs
+        assert cli_main(["ingest"] + self.base(prices, meta) + ["--fill-limit", "-1"]) == 1
+        assert capsys.readouterr().err == "error [ingest]: fill_limit must be >= 0, got -1\n"
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = cli_main(["report", "--prices", str(tmp_path / "nope.csv"),
