@@ -159,15 +159,17 @@ def export_histogram_csv(histograms: dict[str, list[tuple[float, float]]]) -> st
     return _csv(["bin_center", "density", "component"], rows)
 
 
-def export_ccdf_csv(x: np.ndarray, greater: np.ndarray, column: Sequence[str]) -> str:
-    """`x,ccdf` rows of one CCDF, as `tails.survival_counts` gives them: each
-    x to 12 significant digits beside column[k], the printed P(X > x) of its
-    count k of greater samples. Equal to `_csv` of `tails.tail_survival`'s
-    pairs, with one `%` for the whole file."""
-    cells: list[Any] = [None] * (2 * len(x))
-    cells[::2] = x.tolist()
-    cells[1::2] = [column[k] for k in greater.tolist()]
-    return "x,ccdf\n" + ("%.12g,%s\n" * len(x)) % tuple(cells)
+def export_ccdf_csv(mags: Sequence[str], greater: Sequence[int], signed: int,
+                    column: Sequence[str]) -> str:
+    """`x,ccdf` rows of one CCDF in ascending x. Row j prints x as mags[j],
+    the printed |x|, after a `-` on the first `signed` rows, which hold the
+    negative x; then column[greater[j]], the `,P(X > x)` line end of its count
+    of greater samples. Equal to `_csv` of `tails.tail_survival`'s pairs."""
+    cells = [""] * (3 * len(mags))
+    cells[: 3 * signed : 3] = ["-"] * signed
+    cells[1::3] = mags
+    cells[2::3] = map(column.__getitem__, greater)
+    return "x,ccdf\n" + "".join(cells)
 
 
 def export_spectrum_csv(sd: SpectralDecomposition) -> str:
@@ -212,14 +214,26 @@ def returns_files(rp: ReturnPanel) -> Files:
 
 def ccdf_files(rp: ReturnPanel, template: str) -> Files:
     """The empirical CCDF of each tail of each asset, one file per series,
-    at template.format(f"{code}_{side}"). Every series has n = rp.n_steps
-    samples, so the ccdf column is printed once, for each count k < n."""
+    at template.format(f"{code}_{side}").
+
+    Both files of a series print x from one list: `%.12g` of each magnitude
+    |u| of its unique values u, formatted once. `%.12g` of -v is `-` and
+    `%.12g` of v, and x ascends, so a file's negative x form one run of rows
+    at its top: the u < 0 on the positive side, the u > 0 in reverse order on
+    the negative side. Every series has n = rp.n_steps samples, so the ccdf
+    column is printed once, for each count k < n."""
     n = rp.n_steps
-    column = ["%.12g" % (k / n) for k in range(n)]
+    column = [",%.12g\n" % (k / n) for k in range(n)]
     for meta, row in zip(rp.assets, rp.returns):
-        for side in tails.SIDES:
-            yield (template.format(f"{meta.code}_{side}"),
-                   export_ccdf_csv(*tails.survival_counts(row, side), column))
+        values, greater, less = tails.survival_counts(row)
+        mags = ("%.12g " * len(values) % tuple(np.abs(values).tolist())).split()
+        # each side drops its largest x, whose count of greater samples is 0
+        yield (template.format(f"{meta.code}_positive"),
+               export_ccdf_csv(mags[:-1], greater[:-1].tolist(),
+                               np.count_nonzero(values[:-1] < 0), column))
+        yield (template.format(f"{meta.code}_negative"),
+               export_ccdf_csv(mags[:0:-1], less[:0:-1].tolist(),
+                               np.count_nonzero(values[1:] > 0), column))
 
 
 def spectrum_files(
@@ -271,9 +285,9 @@ def _stage(name: str):
 
 @_stage("ingest")
 def read_panel(prices_path: str, metadata_path: str, fill_limit: int) -> PricePanel:
-    with open(prices_path, "r", encoding="utf-8") as fh:
+    with open(prices_path, "r", encoding="utf-8-sig") as fh:
         raw_prices = fh.read()
-    with open(metadata_path, "r", encoding="utf-8") as fh:
+    with open(metadata_path, "r", encoding="utf-8-sig") as fh:
         raw_meta = fh.read()
     return market_data.parse_price_panel(raw_prices, raw_meta, fill_limit)
 

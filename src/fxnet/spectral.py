@@ -148,11 +148,9 @@ def shuffle_surrogate(rp: ReturnPanel, seed: int) -> ReturnPanel:
         raise PanelError("surrogate shuffling expects a normalized return panel")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    t = rp.n_steps
-    shuffled = np.empty_like(rp.returns)
+    shuffled = np.array(rp.returns)
     for i in range(rp.n_assets):
-        rng = np.random.default_rng([seed, i])
-        shuffled[i] = rp.returns[i, rng.permutation(t)]
+        np.random.default_rng([seed, i]).shuffle(shuffled[i])
     return replace(rp, returns=_freeze(shuffled))
 
 

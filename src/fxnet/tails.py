@@ -84,19 +84,23 @@ def fit_tail_exponent(
     )
 
 
-def survival_counts(samples: np.ndarray, side: str = "positive") -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique values of one tail and, for each, the count of samples
-    strictly greater; the largest value, whose count is 0, is dropped."""
-    x = _side_values(samples, side)
+def survival_counts(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted unique values u of the samples, zeros unsigned, and for each the
+    counts of samples strictly greater and strictly less than it: n times the
+    CCDF of the positive tail at u and of the negative tail at -u."""
+    x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise TailFitError("empty sample vector")
-    values, counts = np.unique(x, return_counts=True)
-    # count strictly greater: all samples but those at or below each value
-    greater = x.size - np.cumsum(counts)
-    return values[:-1], greater[:-1]
+    # + 0.0 turns -0.0 into 0.0, so a zero prints the same on either side
+    values, counts = np.unique(x + 0.0, return_counts=True)
+    at_or_below = np.cumsum(counts)
+    return values, x.size - at_or_below, at_or_below - counts
 
 
 def tail_survival(samples: np.ndarray, side: str = "positive") -> list[tuple[float, float]]:
     """Empirical CCDF (x, P(X > x)) on sorted unique values, zero tail dropped."""
-    values, greater = survival_counts(samples, side)
-    return list(zip(values.tolist(), (greater / np.size(samples)).tolist()))
+    values, greater, less = survival_counts(samples)
+    if side == "negative":
+        values, greater = values[::-1], less[::-1]
+    x = _side_values(values, side)
+    return list(zip(x[:-1].tolist(), (greater[:-1] / np.size(samples)).tolist()))

@@ -113,6 +113,16 @@ def tail_survival_loop(samples, side="positive"):
     return out
 
 
+def shuffle_surrogate_gather(returns, seed):
+    """Each row of `returns` permuted in time by gathering through
+    `rng.permutation(t)`, one generator per (seed, row index)."""
+    returns = np.asarray(returns, dtype=float)
+    out = np.empty_like(returns)
+    for i, row in enumerate(returns):
+        out[i] = row[np.random.default_rng([seed, i]).permutation(row.size)]
+    return out
+
+
 def kruskal_mst_tuples(d):
     """Minimum spanning tree edges (i, j, d[i, j]) in the order Kruskal takes
     them from a sorted list of (d[i, j], i, j) tuples over every pair i < j,

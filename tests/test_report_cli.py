@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import json
 import os
@@ -21,6 +22,7 @@ from fxnet.report import (
     export_histogram_csv,
     export_json_report,
     export_pajek,
+    read_panel,
     run_pipeline,
     write_files,
 )
@@ -466,6 +468,21 @@ def test_codes_needing_quotes_round_trip_through_every_csv(tmp_path):
             assert widths == {len(codes) + 1}, rel
         if rel in matrices or rel in ("returns.csv", "sigma.csv"):
             assert [row[0] for row in rows[1:]] == codes, rel
+
+
+@pytest.mark.parametrize("marked", [("prices",), ("metadata",), ("prices", "metadata")])
+def test_byte_order_mark_reads_as_the_plain_table(tmp_path, marked):
+    prices, meta = synthetic_price_files(tmp_path)
+    plain = read_panel(prices, meta, 5)
+    for name in marked:
+        path = {"prices": prices, "metadata": meta}[name]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(codecs.BOM_UTF8 + data)
+    panel = read_panel(prices, meta, 5)
+    assert (panel.assets, panel.dates) == (plain.assets, plain.dates)
+    assert np.array_equal(panel.prices, plain.prices)
 
 
 @pytest.mark.parametrize("code", ["d/e", "../../esc", "a\\b"])

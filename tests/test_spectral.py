@@ -19,7 +19,7 @@ from fxnet.spectral import (
     rmt_bounds,
     shuffle_surrogate,
 )
-from oracles import charpoly_eigenvalues, jacobi_eigh
+from oracles import charpoly_eigenvalues, jacobi_eigh, shuffle_surrogate_gather
 
 
 def random_correlation(rng, n, t=400):
@@ -276,6 +276,14 @@ class TestShuffleSurrogate:
         assert np.array_equal(a.returns, b.returns)
         c = shuffle_surrogate(rp, seed=124)
         assert not np.array_equal(a.returns, c.returns)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 750])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63])
+    def test_matches_gather_oracle(self, t, seed):
+        rp = panel_from_returns(np.random.default_rng(t).standard_normal((4, t)),
+                                normalized=True)
+        out = shuffle_surrogate(rp, seed)
+        assert np.array_equal(out.returns, shuffle_surrogate_gather(rp.returns, seed))
 
     def test_derive_seeds_deterministic(self):
         assert derive_seeds(7, 5) == derive_seeds(7, 5)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_assets
 from fxnet.market_data import ReturnPanel
-from fxnet.report import _csv, ccdf_files
+from fxnet.report import ccdf_files
 from fxnet.tails import (
     TailFitError,
     fit_tail_exponent,
@@ -176,15 +176,45 @@ class TestTailSurvival:
             tail_survival(np.array([]), "positive")
 
 
+# how the writer's draws are reshaped: one-signed series (with and without
+# zeros) put every row of a file inside or outside its run of `-` rows, and a
+# mirrored series holds v and -v with different multiplicities
+SHAPES = {
+    "mixed": lambda x: x,
+    "positive": lambda x: np.where(x == 0, 1.0, np.abs(x)),
+    "negative": lambda x: np.where(x == 0, -1.0, -np.abs(x)),
+    "non-negative": lambda x: np.where(np.arange(x.size) % 3 == 0, 0.0, np.abs(x)),
+    "mirrored": lambda x: np.concatenate([x, -x[::2]]),
+}
+
+
+def _oracle_text(x, side):
+    """A CCDF file's text printed from the loop oracle's (x, P) pairs."""
+    return "x,ccdf\n" + "".join(f"{v:.12g},{p:.12g}\n" for v, p in tail_survival_loop(x, side))
+
+
 class TestCcdfText:
+    # scales 1e-7 and 1e14 move the normal draws below 1e-4 and past 1e12,
+    # where `%.12g` switches to its exponent form, on both signs
     @settings(max_examples=200, deadline=None)
-    @given(pool=POOLS, size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
-    def test_matches_csv_of_loop_oracle(self, pool, size, seed):
-        x = _pooled_draw(pool, size, seed)
+    @given(pool=POOLS, size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(sorted(SHAPES)), scale=st.sampled_from([1.0, 1e-7, 1e14]))
+    def test_matches_csv_of_loop_oracle(self, pool, size, seed, shape, scale):
+        with np.errstate(over="ignore"):
+            x = SHAPES[shape](_pooled_draw(pool, size, seed) * scale)
         texts = _ccdf_texts(x)
         for side in ("positive", "negative"):
-            want = _csv(["x", "ccdf"], tail_survival_loop(x, side))
+            want = _oracle_text(x, side)
             assert _first_difference(texts[f"A00_{side}"], want) is None, side
+
+    def test_signed_rows_and_exponent_form_on_both_sides(self):
+        texts = _ccdf_texts(np.array([-2.5, -1e-05, 0, 0, 1e-05, 3, 1.5e+20]))
+        assert texts == {
+            "A00_positive": "x,ccdf\n-2.5,0.857142857143\n-1e-05,0.714285714286\n"
+                            "0,0.428571428571\n1e-05,0.285714285714\n3,0.142857142857\n",
+            "A00_negative": "x,ccdf\n-1.5e+20,0.857142857143\n-3,0.714285714286\n"
+                            "-1e-05,0.571428571429\n0,0.285714285714\n1e-05,0.142857142857\n",
+        }
 
     @pytest.mark.parametrize("size", [1, 2, 3000])
     def test_values_all_tied_at_the_maximum_give_the_header_alone(self, size):
