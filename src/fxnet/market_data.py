@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import io
 import itertools
 import math
 import re
@@ -17,6 +16,9 @@ MARKET_CLASSES = ("developed", "emerging", "frontier")
 DEFAULT_FILL_LIMIT = 5
 PEG_GUARD_SIGMA = 1e-10
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# which bytes below "!" str.strip removes; the others are control bytes
+_STRIP_WHITESPACE = np.array([chr(c).isspace() for c in range(ord(" ") + 1)])
+_CHUNK = 1 << 18  # bytes of a price table that the numpy reader scans at once
 
 
 class PanelError(ValueError):
@@ -82,12 +84,23 @@ def _csv_rows(text: str, table: str):
     last physical line; a line the csv module cannot split (a field over its
     size limit, a carriage return inside an unquoted field) is a PanelError
     naming the line."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     try:
         for row in reader:
             yield reader.line_num, row
     except csv.Error as exc:
         raise PanelError(f"{table} line {reader.line_num}: {exc}") from None
+
+
+def _lines(text: str):
+    """The lines of `text`, each with its `\\n`: the only line end the csv
+    reader needs split (`str.splitlines` also splits at `\\x0c`, `\\x1c` and
+    `\\u2028`, which a quoted or unquoted cell may hold)."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
 
 
 def _iso_date(text: str) -> datetime.date:
@@ -206,30 +219,39 @@ def _read_prices_vectorised(
     `_read_prices_per_cell` reads to the same result, which then reads it
     and words any error.
 
-    Without quotes and carriage returns every line is one csv row and every
-    comma a delimiter; without `n` or `N` no cell spells nan or inf, so a
-    NaN in the matrix is a blank cell. Whitespace-only cells, underscores,
-    non-ASCII digits and short rows make numpy raise, long rows fail the
-    comma count, and a line over the csv field limit is left to the reader
-    that enforces it.
+    Without quotes every line is one csv row and every comma a delimiter;
+    `\\r\\n` line ends are read as `\\n`, and a lone `\\r` declines. Without
+    `n` or `N` no cell spells nan or inf, and `_blanks_as_nan` writes each
+    empty or whitespace-only cell as `nan`, so a NaN in the matrix is a
+    blank cell. Non-ASCII text, control bytes and a line over the csv field
+    limit decline; underscores and short rows make numpy raise, and long
+    rows fail the comma count. The body is read in chunks of whole lines,
+    so that no mask as long as the table is made.
     """
-    if '"' in raw_table or "\r" in raw_table:
+    if '"' in raw_table or not raw_table.isascii():
         return None
-    body = raw_table.partition("\n")[2]
-    if "n" in body or "N" in body:
+    crlf = "\r" in raw_table
+    if crlf and raw_table.count("\r") != raw_table.count("\r\n"):
         return None
-    # two `in` scans cost less than three `replace` scans that find nothing
-    # (15 against 22 ms on a 5 MB gap-free table); a gappy table stops
-    # the first scan at its first blank
-    if ",," in body or ",\n" in body or body.endswith(","):
-        body = body.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
-        if body.endswith(","):
-            body += "nan"
-    n_commas = body.count(",")
-    lines = [line for line in body.split("\n") if line]  # the csv reader skips empty lines
-    del body
-    if (not lines or n_commas != n * len(lines)
-            or max(map(len, lines)) > csv.field_size_limit()):
+    start = raw_table.find("\n") + 1
+    if not start or raw_table.find("n", start) >= 0 or raw_table.find("N", start) >= 0:
+        return None
+    field_limit = csv.field_size_limit()
+    lines: list[str] = []
+    n_commas = 0
+    while start < len(raw_table):
+        stop = raw_table.find("\n", start + _CHUNK) + 1 or len(raw_table)
+        chunk = raw_table[start:stop]
+        start = stop
+        if crlf:
+            chunk = chunk.replace("\r\n", "\n")
+        read = _blanks_as_nan(chunk, field_limit)
+        if read is None:
+            return None
+        text, commas = read
+        n_commas += commas
+        lines += filter(None, text.split("\n"))  # the csv reader skips empty lines
+    if not lines or n_commas != n * len(lines):
         return None
     try:
         dates = [_iso_date(line.partition(",")[0].strip()) for line in lines]
@@ -246,6 +268,37 @@ def _read_prices_vectorised(
     if len(values) != len(dates) or not np.all(blank | ((values > 0) & (values < np.inf))):
         return None
     return dates, values
+
+
+def _blanks_as_nan(chunk: str, field_limit: int) -> tuple[str, int] | None:
+    """`chunk`, whole lines of an ASCII price table without `\\r`, with each
+    cell after a comma that is empty or holds only whitespace written as
+    `nan`, and its number of commas; None if it holds a line longer than
+    `field_limit` or a control byte other than whitespace (numpy's reader
+    is not asked to treat `\\x00` as the csv reader does)."""
+    if not chunk.endswith("\n"):
+        chunk += "\n"
+    b = np.frombuffer(chunk.encode("ascii"), np.uint8)
+    comma = b == ord(",")
+    newline = b == ord("\n")
+    ends = np.flatnonzero(newline)
+    if np.diff(ends, prepend=-1).max() - 1 > field_limit:
+        return None
+    low = b <= ord(" ")
+    if np.count_nonzero(low) == len(ends):
+        # no byte below "!" but line ends: a blank cell is a comma and then
+        # a comma or a line end
+        starts = stops = np.flatnonzero(comma[:-1] & (comma | newline)[1:]) + 1
+    elif _STRIP_WHITESPACE[b[low]].all():
+        seps = np.flatnonzero(comma | newline)
+        # whether [seps[k], seps[k + 1]) holds a byte that is not whitespace
+        filled = np.logical_or.reduceat(~low & ~comma, seps)
+        blank = np.flatnonzero(comma[seps] & ~filled)
+        starts, stops = seps[blank] + 1, seps[blank + 1]
+    else:
+        return None
+    cuts = iter([0, *np.column_stack((starts, stops)).ravel().tolist(), len(chunk)])
+    return "nan".join([chunk[i:j] for i, j in zip(cuts, cuts)]), np.count_nonzero(comma)
 
 
 def _read_prices_per_cell(

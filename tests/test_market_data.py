@@ -1,5 +1,7 @@
 import datetime
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_assets, meta_csv, panel_from_returns, price_csv
 from oracles import parse_price_panel_loop
+from fxnet import market_data
 from fxnet.market_data import (
     PanelError,
     PeggedAssetError,
@@ -162,6 +165,22 @@ def test_malformed_line_is_a_panel_error_naming_it(prices, meta, message):
             parse_price_panel(prices, meta)
 
 
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"],
+                         ids=ascii)
+def test_rows_are_split_at_line_feeds_only(char):
+    """A csv row ends at a line feed alone (`str.splitlines` would also
+    split at these), so the cell keeps its text and later lines their
+    numbers."""
+    meta = META_HEADER + f"1,AAA,A{char}A,developed,X\n2,BBB,B,developed,Y\n"
+    assert parse_asset_metadata(meta)["AAA"].name == f"A{char}A"
+    with pytest.raises(PanelError, match="^metadata line 3: unknown market class 'upcoming'"):
+        parse_asset_metadata(meta.replace("developed,Y", "upcoming,Y"))
+    prices = (f'date,AAA,BBB,CCC\n2020-01-01,"1.0",2.0,3.0\n2020-01-02,{char},2.1,3.1\n'
+              "2020-01-03,1.2,oops,3.2\n")
+    with pytest.raises(PanelError, match="^line 4: non-numeric price 'oops' for BBB$"):
+        parse_price_panel(prices, meta_csv(CODES))
+
+
 @pytest.mark.parametrize("code", ["A\nB", "A\rB", "A\tB", "A\u2028B"],
                          ids=["line-feed", "carriage-return", "tab", "line-separator"])
 def test_non_printable_code_is_a_panel_error_naming_its_line(code):
@@ -271,7 +290,7 @@ _CELLS = st.one_of(
 ODD_CELLS = [
     " ", "\t", "nan", "NaN", "inf", "-inf", "Infinity", "-1", "0", "0.0", "1e-400", "1e999",
     "1_0", "\u0661", "\u0661.5", "+.5", "5.", "0x10", "1.5.2", "1 5", "\x00", "1\x00", "x",
-    "\u20281.5", "2\x0b", "\xa03", "0" * 131073 + "1",
+    "\u20281.5", "2\x0b", "\xa03", "0" * 131073 + "1", "\x0c", "\x1c", "\x1f", " \t ",
 ]
 _ODD_LINES = st.sampled_from(["", ",,,", " , , , ", ",,", ",,,,", "2099-01-01,1", "2020-01-01",
                               "2099-01-01,1,2,3,4"])
@@ -334,32 +353,108 @@ def test_odd_cell_reads_as_in_the_per_cell_loop(cell):
         assert _parsed(parse_price_panel, table, 1) == _parsed(parse_price_panel_loop, table, 1)
 
 
+def _gappy_table(n_rows, blank_lines):
+    """A table of n_rows dates under CODES whose lines (counted from 0
+    after the header) in blank_lines hold blank cells: an empty one, one of
+    `\\x0c` and spaces, and one of spaces and a tab. Blank lines are as
+    long as the others, so they move no chunk edge."""
+    rows = [[f"{1 + k % 9}.25", f"{1 + k % 7}.50", f"{1 + k % 5}.75"] for k in range(n_rows)]
+    for k in blank_lines:
+        rows[k] = ["", "\x0c" + " " * 7, " \t  "]
+    dates = [(datetime.date(2000, 1, 1) + datetime.timedelta(days=k)).isoformat()
+             for k in range(n_rows)]
+    return price_csv(CODES, dates, rows)
+
+
+def _chunk_edge_lines(table):
+    """The first and last line (counted from 0 after the header) of each
+    chunk that the numpy reader scans."""
+    lines, start = [], table.find("\n") + 1
+    while start < len(table):
+        stop = table.find("\n", start + market_data._CHUNK) + 1 or len(table)
+        first = table.count("\n", 0, start) - 1
+        lines += [first, first + table.count("\n", start, stop) - 1]
+        start = stop
+    return lines
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [{}, {(1, 0): None}, {(0, 2): None, (3, 2): None}, {(1, 1): None, (2, 1): None},
-     {(1, 0): " 1.5", (2, 2): "2.5e0 ", (3, 1): "\t3"}],
-    ids=["complete", "interior-blank", "leading-and-last-blank", "run-of-two", "padded"],
+    "table",
+    [simple_table(), simple_table({(1, 0): None}), simple_table({(0, 2): None, (3, 2): None}),
+     simple_table({(1, 1): None, (2, 1): None}),
+     simple_table({(1, 0): " 1.5", (2, 2): "2.5e0 ", (3, 1): "\t3"}),
+     simple_table({(1, 0): " "}), simple_table().replace("\n", "\r\n"),
+     # blanks of every kind in a run longer than fill_limit = 2
+     simple_table({(1, 1): " ", (2, 1): "\t\x0b ", (3, 1): "\x1f", (2, 2): ""}),
+     simple_table({(1, 2): "\x1c", (2, 2): "", (3, 2): " "}).replace("\n", "\r\n"),
+     simple_table({(3, 2): " "}).rstrip("\n"),
+     simple_table({(1, 1): None, (2, 0): None}).replace(",", ", ")],
+    ids=["complete", "interior-blank", "leading-and-last-blank", "run-of-two", "padded",
+         "whitespace", "crlf", "blank-run", "crlf-blank-run", "no-final-line-end",
+         "comma-space-padded"],
 )
-def test_plain_tables_are_read_by_numpy(overrides):
+def test_plain_tables_are_read_by_numpy(table):
     """The differential test above only holds the numpy reader to the loop
     if tables like these reach it."""
-    assert _read_prices_vectorised(simple_table(overrides), len(CODES)) is not None
+    assert _read_prices_vectorised(table, len(CODES)) is not None
+    assert _parsed(parse_price_panel, table, 2) == _parsed(parse_price_panel_loop, table, 2)
+
+
+@pytest.mark.parametrize("chunk", [None, 100], ids=["real-chunk", "100-byte-chunk"])
+def test_blanks_on_chunk_edges_are_read_by_numpy(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(market_data, "_CHUNK", chunk)
+    n_rows = 40 if chunk else 3 * market_data._CHUNK // 25
+    edges = _chunk_edge_lines(_gappy_table(n_rows, []))
+    assert len(edges) >= 6  # three chunks or more
+    table = _gappy_table(n_rows, edges)
+    assert _chunk_edge_lines(table) == edges
+    read = _read_prices_vectorised(table, len(CODES))
+    assert read is not None
+    assert np.isnan(read[1][edges]).all() and not np.isnan(np.delete(read[1], edges, 0)).any()
+    assert _parsed(parse_price_panel, table, 2) == _parsed(parse_price_panel_loop, table, 2)
 
 
 @pytest.mark.parametrize(
     "table",
     [simple_table({(1, 0): "nan"}), simple_table({(1, 0): "1e999"}),
-     simple_table({(1, 0): " "}), simple_table({(1, 0): "1_0"}),
+     simple_table({(1, 0): "1_0"}),
      simple_table({(1, 0): "\u0661"}), simple_table({(1, 0): "0" * 131073 + "1"}),
-     simple_table().replace("\n", "\r\n"), simple_table() + "2020-01-05,1,2,3,4\n",
+     simple_table() + "2020-01-05,1,2,3,4\n",
      simple_table() + ",,,\n", simple_table().replace("2020-01-03", "2020-01-02"),
-     'date,AAA,BBB,CCC\n2020-01-01,"1.0",2.0,3.0\n'],
-    ids=["nan", "inf", "whitespace", "underscore", "arabic-indic-digit", "over-field-limit",
-         "crlf", "long-row", "only-commas", "duplicate-date", "quoted"],
+     'date,AAA,BBB,CCC\n2020-01-01,"1.0",2.0,3.0\n',
+     simple_table({(1, 0): "\x00"}), simple_table({(1, 0): "\xa03"}),
+     simple_table({(1, 0): "1.1\r"}).replace("\n", "\r\n")],
+    ids=["nan", "inf", "underscore", "arabic-indic-digit", "over-field-limit",
+         "long-row", "only-commas", "duplicate-date", "quoted", "nul", "no-break-space",
+         "lone-carriage-return"],
 )
 def test_other_tables_are_left_to_the_per_cell_loop(table):
     assert _read_prices_vectorised(table, len(CODES)) is None
     assert _parsed(parse_price_panel, table, 2) == _parsed(parse_price_panel_loop, table, 2)
+
+
+def test_parse_peak_memory_stays_near_the_table_length(rng):
+    """One parse of a paper-sized table (74 assets x 6035 dates, 1 % blank
+    cells) allocates at most 2.5 times the table's length at its peak: the
+    numpy reader scans the table in chunks, not through masks as long as it."""
+    n, n_dates = 74, 6035
+    prices = np.exp(rng.normal(0, 0.01, (n_dates, n)).cumsum(axis=0))
+    blank = rng.random((n_dates, n)) < 0.01
+    rows = [[None if b else f"{p:.10g}" for p, b in zip(*row)] for row in zip(prices, blank)]
+    codes = [f"C{j:02d}" for j in range(n)]
+    dates = [(datetime.date(1995, 1, 1) + datetime.timedelta(days=k)).isoformat()
+             for k in range(n_dates)]
+    table, meta = price_csv(codes, dates, rows), meta_csv(codes)
+    assert _read_prices_vectorised(table, n) is not None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parse_price_panel(table, meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(table)
 
 
 def panel_from_prices(rows):
