@@ -10,16 +10,13 @@ from .market_data import (
     normalize_returns,
     parse_price_panel,
 )
-from .tails import TailFit, TailFitError, fit_tail_exponent, hill_estimate, tail_survival
+from .tails import TailFit, TailFitError, fit_tail_exponent, hill_estimate
 from .spectral import (
     CorrelationMatrix,
     RmtBounds,
     SpectralDecomposition,
     correlation_matrix,
     eigendecompose,
-    eigenvector_component_sample,
-    mp_density,
-    porter_thomas_density,
     rmt_bounds,
     shuffle_surrogate,
 )

@@ -123,7 +123,9 @@ def threshold_network(
     c_group: np.ndarray, c_th: float, assets: tuple[AssetMeta, ...]
 ) -> Graph:
     """Edge (i, j) present iff the group-correlation element strictly exceeds
-    c_th; the element is kept as the edge weight."""
+    c_th, a finite real; the element is kept as the edge weight."""
+    if not np.isfinite(c_th):
+        raise ValueError(f"threshold c_th must be finite, got {c_th}")
     c_group = _matrix_for(c_group, assets, "matrix")
     rows, cols = np.nonzero(np.triu(c_group > c_th, k=1))
     edges = tuple(zip(rows.tolist(), cols.tolist(), c_group[rows, cols].tolist()))
@@ -133,8 +135,11 @@ def threshold_network(
 def cluster_report(g: Graph, hub_sigma: float = DEFAULT_HUB_SIGMA) -> ClusterReport:
     """Connected components of the non-isolated nodes plus degree-based hubs.
 
-    A hub has degree above mean + hub_sigma * std of all node degrees.
+    A hub has degree above mean + hub_sigma * std of all node degrees; hub_sigma
+    must be finite.
     """
+    if not np.isfinite(hub_sigma):
+        raise ValueError(f"hub_sigma must be finite, got {hub_sigma}")
     n = g.n_nodes
     deg = g.degrees()
     components = _components(n, [(i, j) for i, j, _ in g.edges])

@@ -113,10 +113,11 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
 
 
 def export_json_report(payload: dict[str, Any]) -> str:
-    """JSON with sorted keys and 12-significant-digit reals."""
+    """JSON with sorted keys and 12-significant-digit reals; a NaN or infinite
+    real is a ValueError, since JSON has no token for it."""
     payload = dict(payload)
     payload.setdefault("schema_version", SCHEMA_VERSION)
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def export_pajek(g: Graph) -> str:
@@ -164,7 +165,8 @@ def export_ccdf_csv(mags: Sequence[str], greater: Sequence[int], signed: int,
     """`x,ccdf` rows of one CCDF in ascending x. Row j prints x as mags[j],
     the printed |x|, after a `-` on the first `signed` rows, which hold the
     negative x; then column[greater[j]], the `,P(X > x)` line end of its count
-    of greater samples. Equal to `_csv` of `tails.tail_survival`'s pairs."""
+    of greater samples. Equal to `_csv` of the (x, P(X > x)) pairs of that tail
+    from `tails.survival_counts`, as `oracles.tail_survival_loop` counts them."""
     cells = [""] * (3 * len(mags))
     cells[: 3 * signed : 3] = ["-"] * signed
     cells[1::3] = mags
@@ -207,7 +209,7 @@ def json_file(rel: str, payload: dict[str, Any]) -> Files:
 
 def returns_files(rp: ReturnPanel) -> Files:
     codes = [a.code for a in rp.assets]
-    rows = [(c, *r) for c, r in zip(codes, rp.returns.tolist())]
+    rows = ((c, *r.tolist()) for c, r in zip(codes, rp.returns))
     yield "returns.csv", _csv(["code", *(f"t{k}" for k in range(rp.n_steps))], rows)
     yield "sigma.csv", _csv(["code", "sigma"], zip(codes, rp.sigma.tolist()))
 
@@ -334,9 +336,9 @@ def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -
     for s in spectral.derive_seeds(seed, count):
         surrogate = spectral.shuffle_surrogate(rp, s)
         ssd = spectral.eigendecompose(spectral.correlation_matrix(surrogate))
-        all_vals.append(ssd.eigenvalues)
-        bulk = [j for j, lam in enumerate(ssd.eigenvalues) if lo <= lam <= hi]
-        pooled.append(spectral.eigenvector_component_sample(ssd, bulk))
+        lam = ssd.eigenvalues
+        all_vals.append(lam)
+        pooled.append(ssd.eigenvectors[(lam >= lo) & (lam <= hi)].ravel())
     if not all_vals:
         return {"count": 0, "seed": seed}
     vals = np.concatenate(all_vals)

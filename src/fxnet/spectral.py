@@ -1,6 +1,5 @@
 """Cross-correlation matrix, deterministic eigendecomposition and random-matrix
-reference quantities (Marchenko-Pastur bounds, Porter-Thomas density, shuffled
-surrogates)."""
+reference quantities (Marchenko-Pastur bounds, shuffled surrogates)."""
 
 from __future__ import annotations
 
@@ -96,32 +95,13 @@ def eigendecompose(cm: CorrelationMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=_freeze(vals), eigenvectors=_freeze(vecs))
 
 
-def _mp_edges(q: float) -> tuple[float, float]:
-    """Edges (1 -/+ 1/sqrt(q))^2 of the random eigenvalue support at Q = q."""
-    return (1.0 - 1.0 / math.sqrt(q)) ** 2, (1.0 + 1.0 / math.sqrt(q)) ** 2
-
-
 def rmt_bounds(n: int, t: int) -> RmtBounds:
-    """Support bounds of the random (Wishart) eigenvalue spectrum at Q = T/N."""
+    """Support bounds (1 -/+ 1/sqrt(Q))^2 of the random (Wishart) eigenvalue
+    spectrum at Q = T/N."""
     if n < 2 or t < n:
         raise ValueError(f"require t >= n >= 2 (Q >= 1), got n={n}, t={t}")
     q = t / n
-    return RmtBounds(q, *_mp_edges(q))
-
-
-def mp_density(lam: float, q: float) -> float:
-    """Density of the random eigenvalue spectrum at Q = q; zero outside support."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    lo, hi = _mp_edges(q)
-    if lam <= lo or lam >= hi:
-        return 0.0
-    return q / (2.0 * math.pi) * math.sqrt((hi - lam) * (lam - lo)) / lam
-
-
-def porter_thomas_density(u: float) -> float:
-    """Standard-normal density expected for random eigenvector components."""
-    return math.exp(-u * u / 2.0) / math.sqrt(2.0 * math.pi)
+    return RmtBounds(q, (1.0 - 1.0 / math.sqrt(q)) ** 2, (1.0 + 1.0 / math.sqrt(q)) ** 2)
 
 
 def normal_ks_statistic(sample: np.ndarray) -> float:
@@ -159,15 +139,3 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
     state = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
     return [int(s) for s in state]
 
-
-def eigenvector_component_sample(
-    sd: SpectralDecomposition, which: list[int]
-) -> np.ndarray:
-    """Pool the components of the selected eigenvectors into one vector."""
-    n = sd.size
-    for j in which:
-        if not 0 <= j < n:
-            raise IndexError(f"eigenvalue index {j} out of range for N={n}")
-    if not which:
-        return np.empty(0)
-    return np.concatenate([sd.eigenvectors[j] for j in which])

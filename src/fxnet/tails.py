@@ -43,8 +43,7 @@ def _side_values(samples: np.ndarray, side: str) -> np.ndarray:
     if side not in SIDES:
         raise TailFitError(f"side must be one of {SIDES}, got {side!r}")
     samples = np.asarray(samples, dtype=float)
-    # + 0.0 turns -0.0 into 0.0, so a zero prints the same on either side
-    return (-samples if side == "negative" else samples) + 0.0
+    return -samples if side == "negative" else samples
 
 
 def fit_tail_exponent(
@@ -96,11 +95,3 @@ def survival_counts(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     at_or_below = np.cumsum(counts)
     return values, x.size - at_or_below, at_or_below - counts
 
-
-def tail_survival(samples: np.ndarray, side: str = "positive") -> list[tuple[float, float]]:
-    """Empirical CCDF (x, P(X > x)) on sorted unique values, zero tail dropped."""
-    values, greater, less = survival_counts(samples)
-    if side == "negative":
-        values, greater = values[::-1], less[::-1]
-    x = _side_values(values, side)
-    return list(zip(x[:-1].tolist(), (greater[:-1] / np.size(samples)).tolist()))

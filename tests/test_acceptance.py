@@ -37,7 +37,6 @@ from fxnet.spectral import (
     correlation_matrix,
     derive_seeds,
     eigendecompose,
-    eigenvector_component_sample,
     rmt_bounds,
     shuffle_surrogate,
 )
@@ -84,8 +83,8 @@ def test_criterion_2_surrogate_bulk(capfd):
         surrogate = shuffle_surrogate(rp, seed)
         sd = eigendecompose(correlation_matrix(surrogate))
         eigenvalues.append(sd.eigenvalues)
-        bulk = [j for j, lam in enumerate(sd.eigenvalues) if lo <= lam <= hi]
-        pooled.append(eigenvector_component_sample(sd, bulk))
+        lam = sd.eigenvalues
+        pooled.append(sd.eigenvectors[(lam >= lo) & (lam <= hi)].ravel())
     vals = np.concatenate(eigenvalues)
     bulk_fraction = np.mean((vals >= lo) & (vals <= hi))
     ks = stats.kstest(np.concatenate(pooled), "norm").statistic

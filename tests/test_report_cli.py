@@ -1,11 +1,16 @@
+import ast
 import codecs
 import dataclasses
+import gc
 import json
 import os
+import pathlib
+import re
 import shlex
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from hypothesis import given, strategies as st
 
 from conftest import make_assets, planted_price_files, synthetic_price_files
 from fxnet.cli import main as cli_main
+from fxnet.market_data import ReturnPanel
 from fxnet.network import Graph
 from fxnet.report import (
     AnalysisReport,
@@ -23,6 +29,7 @@ from fxnet.report import (
     export_json_report,
     export_pajek,
     read_panel,
+    returns_files,
     run_pipeline,
     write_files,
 )
@@ -84,6 +91,12 @@ class TestJsonExport:
         write_files(str(tmp_path), [("r.json", export_json_report({"eigenvalues": values}))])
         back = read_json_report(str(tmp_path / "r.json"))["eigenvalues"]
         assert np.abs(np.array(back) - np.array(values)).max() < 1e-10
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_real_rejected(self, value):
+        # JSON has no token for these; json.dumps would write bare NaN/Infinity
+        with pytest.raises(ValueError):
+            export_json_report({"x": [1.0, value]})
 
 
 class TestHistogramExport:
@@ -419,6 +432,46 @@ def test_subcommand_failure_names_its_stage(tmp_path, capsys, argv, damage, stag
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--surrogates", "1", "--c-th", "nan"],
+        ["report", "--surrogates", "1", "--c-th=inf"],
+        ["report", "--surrogates", "1", "--c-th=-inf"],
+        ["report", "--surrogates", "1", "--hub-sigma", "nan"],
+        ["threshnet", "--c-th", "nan"],
+        ["threshnet", "--hub-sigma=inf"],
+        ["mst", "--hub-sigma", "nan"],
+        ["mst", "--hub-sigma=-inf"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_cutoff_is_a_network_error(tmp_path, capsys, argv):
+    prices, meta = synthetic_price_files(tmp_path)
+    code = cli_main([argv[0], "--prices", prices, "--metadata", meta,
+                     "--out-dir", str(tmp_path / "out"), *argv[1:]])
+    assert code == 1
+    assert "error [network]" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_returns_peak_memory_stays_near_the_text_length(rng):
+    """Formatting `returns.csv` of a 100 x 2499 panel allocates at most 4 times
+    the file's length at its peak: the rows become Python floats one at a
+    time, not the whole matrix at once."""
+    rp = ReturnPanel(assets=make_assets(100), returns=rng.standard_normal((100, 2499)),
+                     sigma=np.ones(100), normalized=True)
+    length = len(dict(returns_files(rp))["returns.csv"])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dict(returns_files(rp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * length
+
+
 def _quoted_code_files(tmp_path, codes, n_dates=300, seed=3):
     """Price and metadata CSVs, written with the csv module, whose asset codes
     need CSV quoting."""
@@ -510,6 +563,31 @@ def test_importing_fxnet_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_every_public_function_has_a_caller():
+    """Each public top-level function of fxnet's modules is named somewhere in
+    them (called, or kept in a table such as the CLI's) or is in the README's
+    Library import list; anything else is code no stage runs."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "fxnet").glob("*.py"))
+             if path.name != "__init__.py"}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = set(re.findall(r"\w+", re.search(r"from fxnet import \(([^)]*)\)", readme)[1]))
+    uncalled = [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and node.name not in named | library]
+    assert uncalled == []
 
 
 def _staging_dirs(root):

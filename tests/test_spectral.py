@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, stats
+from scipy import stats
 
 from conftest import normalized_noise_panel, panel_from_returns, planted_group_panel
 from fxnet.market_data import PanelError, normalize_returns
@@ -12,10 +12,7 @@ from fxnet.spectral import (
     correlation_matrix,
     derive_seeds,
     eigendecompose,
-    eigenvector_component_sample,
-    mp_density,
     normal_ks_statistic,
-    porter_thomas_density,
     rmt_bounds,
     shuffle_surrogate,
 )
@@ -206,37 +203,6 @@ class TestRmtBounds:
             rmt_bounds(1, 10)
 
 
-class TestDensities:
-    def test_mp_zero_outside_support(self):
-        assert mp_density(0.5, 81.54) == 0.0
-        assert mp_density(1.5, 81.54) == 0.0
-
-    def test_mp_zero_at_endpoints(self):
-        q = 81.54
-        lo = (1 - 1 / math.sqrt(q)) ** 2
-        hi = (1 + 1 / math.sqrt(q)) ** 2
-        assert mp_density(lo, q) == 0.0
-        assert mp_density(hi, q) == 0.0
-
-    def test_mp_integrates_to_one(self):
-        q = 81.54
-        lo = (1 - 1 / math.sqrt(q)) ** 2
-        hi = (1 + 1 / math.sqrt(q)) ** 2
-        total, _ = integrate.quad(lambda x: mp_density(x, q), lo, hi)
-        assert total == pytest.approx(1.0, abs=1e-3)
-
-    def test_porter_thomas_peak(self):
-        assert porter_thomas_density(0.0) == pytest.approx(0.39894, abs=1e-5)
-
-    def test_porter_thomas_symmetry(self):
-        for u in (0.5, 1.0, 2.0):
-            assert porter_thomas_density(u) == porter_thomas_density(-u)
-
-    def test_porter_thomas_integrates_to_one(self):
-        total, _ = integrate.quad(porter_thomas_density, -8, 8)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-
 # Past |x| ~ 38.5, Phi(x) underflows to 0 or rounds to 1.
 _KS_EDGE_VALUES = st.floats(-40.0, 40.0) | st.sampled_from(
     [0.0, -0.0, 1.0, -1.0, 8.5, -8.5, 38.5, -38.5, 40.0, -40.0]
@@ -305,27 +271,20 @@ class TestShuffleSurrogate:
 
 
 class TestEigenvectorComponentSample:
-    def test_single_index_length(self, rng):
-        sd = eigendecompose(random_correlation(rng, 7))
-        assert eigenvector_component_sample(sd, [3]).shape == (7,)
+    """The pooled components of selected eigenvectors, picked by a boolean
+    mask over the eigenvalues as the surrogate stage does."""
 
     def test_identity_pooled_normalization(self):
-        sd = eigendecompose(CorrelationMatrix(np.eye(6)))
-        pooled = eigenvector_component_sample(sd, list(range(6)))
+        pooled = eigendecompose(CorrelationMatrix(np.eye(6))).eigenvectors.ravel()
         assert (pooled ** 2).sum() / pooled.size == pytest.approx(1.0, abs=1e-9)
-
-    def test_index_out_of_range(self, rng):
-        sd = eigendecompose(random_correlation(rng, 5))
-        with pytest.raises(IndexError):
-            eigenvector_component_sample(sd, [5])
 
     def test_bulk_components_look_normal(self):
         rng = np.random.default_rng(808)
         rp = normalized_noise_panel(rng, 40, 2000)
         sd = eigendecompose(correlation_matrix(rp))
         bounds = rmt_bounds(40, 2000)
-        bulk = [j for j, lam in enumerate(sd.eigenvalues)
-                if bounds.lambda_min - 0.05 <= lam <= bounds.lambda_max + 0.05]
-        pooled = eigenvector_component_sample(sd, bulk)
+        lam = sd.eigenvalues
+        bulk = (lam >= bounds.lambda_min - 0.05) & (lam <= bounds.lambda_max + 0.05)
+        pooled = sd.eigenvectors[bulk].ravel()
         assert pooled.size >= 1000
         assert stats.kstest(pooled, "norm").statistic < 0.06

@@ -12,7 +12,7 @@ from fxnet.tails import (
     TailFitError,
     fit_tail_exponent,
     hill_estimate,
-    tail_survival,
+    survival_counts,
 )
 from oracles import pareto_samples, tail_survival_loop
 
@@ -120,18 +120,29 @@ class TestFitTailExponent:
         assert a1 == pytest.approx(a2, rel=1e-12)
 
 
-def _bits(points):
+def _bits(values):
     # hex strings tell -0.0 from 0.0, which == does not
-    return [(float(x).hex(), float(p).hex()) for x, p in points]
+    return [float(v).hex() for v in values]
 
 
 class TestTailSurvival:
+    """`survival_counts`, whose counts give the CCDF of each tail."""
+
     @settings(max_examples=200, deadline=None)
-    @given(pool=POOLS, size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
-           side=st.sampled_from(["positive", "negative"]))
-    def test_matches_loop_oracle_bit_for_bit(self, pool, size, seed, side):
+    @given(pool=POOLS, size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_oracle_bit_for_bit(self, pool, size, seed):
         x = _pooled_draw(pool, size, seed)
-        assert _bits(tail_survival(x, side)) == _bits(tail_survival_loop(x, side))
+        values, greater, less = survival_counts(x)
+        positive = tail_survival_loop(x, "positive")
+        # the oracle's negative tail in ascending u = -x
+        negative = tail_survival_loop(x, "negative")[::-1]
+        # each value but the largest has a greater sample; each but the
+        # smallest a less one
+        assert greater[-1] == 0 and less[0] == 0
+        assert _bits(values[:-1]) == _bits(u for u, _ in positive)
+        assert _bits(values[1:]) == _bits(-v + 0.0 for v, _ in negative)
+        assert _bits(greater[:-1] / size) == _bits(p for _, p in positive)
+        assert _bits(less[1:] / size) == _bits(p for _, p in negative)
 
     def test_zeros_print_unsigned_on_either_side(self):
         text = _ccdf_texts(np.array([1.0, 0.0, -2.0, -1.0]))["A00_negative"]
@@ -141,31 +152,39 @@ class TestTailSurvival:
                      for zeros in ([0.0, -0.0], [-0.0, 0.0])]
             assert texts[0] == texts[1], side
             assert "\n0," in texts[0] and "-0," not in texts[0], side
+        assert _bits(survival_counts(np.array([-0.0, 1.0]))[0]) == _bits([0.0, 1.0])
 
     def test_counting_fixture(self):
-        out = tail_survival(np.array([1.0, 2.0, 3.0]), "positive")
-        assert out == [(1.0, 2 / 3), (2.0, 1 / 3)]
+        values, greater, less = survival_counts(np.array([2.0, 1.0, 3.0, 2.0]))
+        assert values.tolist() == [1.0, 2.0, 3.0]
+        assert greater.tolist() == [3, 1, 0]
+        assert less.tolist() == [0, 1, 3]
 
     def test_single_point_empty(self):
-        assert tail_survival(np.array([5.0]), "positive") == []
+        # no sample lies on either side of it: both CCDFs are empty
+        values, greater, less = survival_counts(np.array([5.0]))
+        assert (values.tolist(), greater.tolist(), less.tolist()) == ([5.0], [0], [0])
 
-    def test_negative_side_negates(self):
-        out = tail_survival(np.array([-1.0, -2.0, -3.0]), "negative")
-        assert out == [(1.0, 2 / 3), (2.0, 1 / 3)]
+    def test_negative_side_negates(self, rng):
+        x = rng.standard_normal(50).round(1)  # ties
+        values, greater, less = survival_counts(x)
+        neg_values, neg_greater, neg_less = survival_counts(-x)
+        assert np.array_equal(neg_values, -values[::-1])
+        assert np.array_equal(neg_greater, less[::-1])
+        assert np.array_equal(neg_less, greater[::-1])
 
     def test_probabilities_strictly_decreasing(self, rng):
-        out = tail_survival(rng.standard_normal(300), "positive")
-        probs = [p for _, p in out]
-        assert all(b < a for a, b in zip(probs, probs[1:]))
-        assert probs[0] <= 1.0
-        assert all(p > 0 for p in probs)
+        x = rng.standard_normal(300).round(2)  # ties
+        _, greater, less = survival_counts(x)
+        assert np.all(np.diff(greater) < 0) and np.all(np.diff(less) > 0)
+        assert greater[0] < x.size and less[-1] < x.size
+        assert greater[-1] == 0 and np.all(greater[:-1] > 0)
 
     def test_pareto_loglog_slope(self):
         rng = np.random.default_rng(4242)
         samples = pareto_samples(rng, 1000, 3.0)
-        out = tail_survival(samples, "positive")
-        xs = np.array([x for x, _ in out])
-        ps = np.array([p for _, p in out])
+        values, greater, _ = survival_counts(samples)
+        xs, ps = values[:-1], greater[:-1] / samples.size
         lo, hi = np.quantile(samples, [0.90, 0.99])
         mask = (xs >= lo) & (xs <= hi)
         slope = np.polyfit(np.log(xs[mask]), np.log(ps[mask]), 1)[0]
@@ -173,7 +192,7 @@ class TestTailSurvival:
 
     def test_empty_rejected(self):
         with pytest.raises(TailFitError):
-            tail_survival(np.array([]), "positive")
+            survival_counts(np.array([]))
 
 
 # how the writer's draws are reshaped: one-signed series (with and without
