@@ -95,6 +95,7 @@ def cmd_spectrum(args) -> None:
 
 def cmd_decompose(args) -> None:
     """global/group/random mode decomposition"""
+    report.check_settings(n_g=args.n_g)
     rp, cm, md = _split(args)
     hists = report.histograms(cm, md)
     report.write_files(args.out_dir, report.modes_files(rp.assets, md, hists))
@@ -103,6 +104,7 @@ def cmd_decompose(args) -> None:
 
 def cmd_mst(args) -> None:
     """minimum spanning tree over Mantegna distances"""
+    report.check_settings(hub_sigma=args.hub_sigma)
     rp = _returns(args)
     mst, cluster = report.build_mst(report.correlate(rp), rp.assets, args.hub_sigma)
     report.write_files(args.out_dir, report.graph_files(mst))
@@ -111,6 +113,7 @@ def cmd_mst(args) -> None:
 
 def cmd_threshnet(args) -> None:
     """threshold network over the group matrix"""
+    report.check_settings(n_g=args.n_g, c_th=args.c_th, hub_sigma=args.hub_sigma)
     rp, _, md = _split(args)
     tnet, cluster, sweep, c_th = report.build_threshold(
         md.c_group, rp.assets, args.c_th, args.hub_sigma

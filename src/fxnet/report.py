@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -135,8 +136,15 @@ def export_pajek(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# one edge of a graph's JSON in export_json_report's layout: json.dumps runs
+# its pure-Python encoder when given an indent, so the edges are printed here
+_EDGE = "    [\n      %d,\n      %d,\n      %r\n    ]"
+
+
 def export_graph_json(g: Graph) -> str:
-    payload = {
+    """The text of `export_json_report` of the graph's nodes and edges (each
+    edge an [i, j, weight] list), its edges printed by `_EDGE`."""
+    text = export_json_report({
         "schema_version": SCHEMA_VERSION,
         "kind": g.kind,
         "nodes": [
@@ -149,9 +157,16 @@ def export_graph_json(g: Graph) -> str:
             }
             for idx, meta in enumerate(g.assets)
         ],
-        "edges": [[i, j, w] for i, j, w in g.edges],
-    }
-    return export_json_report(payload)
+        "edges": [],
+    })
+    if not g.edges:
+        return text
+    weights = [float("%.12g" % w) for _, _, w in g.edges]
+    if not all(map(math.isfinite, weights)):
+        raise ValueError("a non-finite edge weight has no JSON token")
+    edges = ",\n".join([_EDGE % (i, j, w) for (i, j, _), w in zip(g.edges, weights)])
+    # "edges" is the first of the sorted keys
+    return text.replace('"edges": []', '"edges": [\n' + edges + "\n  ]", 1)
 
 
 def export_histogram_csv(histograms: dict[str, list[tuple[float, float]]]) -> str:
@@ -160,17 +175,15 @@ def export_histogram_csv(histograms: dict[str, list[tuple[float, float]]]) -> st
     return _csv(["bin_center", "density", "component"], rows)
 
 
-def export_ccdf_csv(mags: Sequence[str], greater: Sequence[int], signed: int,
-                    column: Sequence[str]) -> str:
-    """`x,ccdf` rows of one CCDF in ascending x. Row j prints x as mags[j],
-    the printed |x|, after a `-` on the first `signed` rows, which hold the
-    negative x; then column[greater[j]], the `,P(X > x)` line end of its count
-    of greater samples. Equal to `_csv` of the (x, P(X > x)) pairs of that tail
-    from `tails.survival_counts`, as `oracles.tail_survival_loop` counts them."""
-    cells = [""] * (3 * len(mags))
-    cells[: 3 * signed : 3] = ["-"] * signed
-    cells[1::3] = mags
-    cells[2::3] = map(column.__getitem__, greater)
+def export_ccdf_csv(mags: Sequence[str], counts: np.ndarray, column: np.ndarray) -> str:
+    """`x,ccdf` rows of one tail's CCDF in ascending x > 0. Row j prints x as
+    mags[j], then column[counts[j]], the `,P(X > x)` line end of its count of
+    samples beyond x. Equal to `_csv` of the (x, P(X > x)) pairs with x > 0 of
+    that tail from `tails.survival_counts`, as `oracles.tail_survival_loop`
+    counts them."""
+    cells = [""] * (2 * len(mags))
+    cells[0::2] = mags
+    cells[1::2] = column[counts].tolist()
     return "x,ccdf\n" + "".join(cells)
 
 
@@ -216,26 +229,27 @@ def returns_files(rp: ReturnPanel) -> Files:
 
 def ccdf_files(rp: ReturnPanel, template: str) -> Files:
     """The empirical CCDF of each tail of each asset, one file per series,
-    at template.format(f"{code}_{side}").
+    at template.format(f"{code}_{side}"), in rows x > 0 only.
 
-    Both files of a series print x from one list: `%.12g` of each magnitude
-    |u| of its unique values u, formatted once. `%.12g` of -v is `-` and
-    `%.12g` of v, and x ascends, so a file's negative x form one run of rows
-    at its top: the u < 0 on the positive side, the u > 0 in reverse order on
-    the negative side. Every series has n = rp.n_steps samples, so the ccdf
-    column is printed once, for each count k < n."""
+    Of a series' unique values u, the positive file takes x = u for u > 0 and
+    the negative file x = -u for u < 0, each without its largest x, which has
+    no sample beyond it. Every x of the series is printed once, `%.12g`, in
+    one `%`. Every series has n = rp.n_steps samples, so the ccdf column is
+    printed once, for each count k < n."""
     n = rp.n_steps
-    column = [",%.12g\n" % (k / n) for k in range(n)]
+    column = np.array([",%.12g\n" % (k / n) for k in range(n)], dtype=object)
     for meta, row in zip(rp.assets, rp.returns):
         values, greater, less = tails.survival_counts(row)
-        mags = ("%.12g " * len(values) % tuple(np.abs(values).tolist())).split()
-        # each side drops its largest x, whose count of greater samples is 0
+        neg = np.searchsorted(values, 0.0, "left")  # values[:neg] < 0
+        pos = np.searchsorted(values, 0.0, "right")  # values[pos:] > 0
+        # values[1:neg][::-1], not values[neg-1:0:-1], which wraps round at neg == 0
+        x = np.concatenate([-values[1:neg][::-1], values[pos:-1]])
+        mags = ("%.12g " * x.size % tuple(x.tolist())).split()
+        m = max(neg - 1, 0)
         yield (template.format(f"{meta.code}_positive"),
-               export_ccdf_csv(mags[:-1], greater[:-1].tolist(),
-                               np.count_nonzero(values[:-1] < 0), column))
+               export_ccdf_csv(mags[m:], greater[pos:-1], column))
         yield (template.format(f"{meta.code}_negative"),
-               export_ccdf_csv(mags[:0:-1], less[:0:-1].tolist(),
-                               np.count_nonzero(values[1:] > 0), column))
+               export_ccdf_csv(mags[:m], less[1:neg][::-1], column))
 
 
 def spectrum_files(
@@ -283,6 +297,27 @@ def _stage(name: str):
         return run
 
     return decorate
+
+
+def check_settings(*, n_g: int | str = "auto", c_th: float | str = "auto",
+                   hub_sigma: float = network.DEFAULT_HUB_SIGMA, surrogates: int = 0,
+                   seed: int = DEFAULT_SEED) -> None:
+    """Raise, before any data is read, the StageError that a later stage would
+    raise for a setting whose validity does not depend on the data: a negative
+    int seed, surrogate count or n_g, or a NaN or infinite float hub_sigma or
+    c_th. Any other value is left to the stage that uses it."""
+    for stage, bad, message in (
+        ("surrogates", isinstance(seed, int) and seed < 0, f"seed must be >= 0, got {seed}"),
+        ("surrogates", isinstance(surrogates, int) and surrogates < 0,
+         f"surrogates must be >= 0, got {surrogates}"),
+        ("decomposition", isinstance(n_g, int) and n_g < 0, f"n_g must be >= 0, got {n_g}"),
+        ("network", isinstance(hub_sigma, float) and not math.isfinite(hub_sigma),
+         f"hub_sigma must be finite, got {hub_sigma}"),
+        ("network", isinstance(c_th, float) and not math.isfinite(c_th),
+         f"threshold c_th must be finite, got {c_th}"),
+    ):
+        if bad:
+            raise StageError(stage, ValueError(message))
 
 
 @_stage("ingest")
@@ -485,8 +520,11 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
     """Execute the full analysis and write every artifact under cfg.out_dir.
 
     Any stage failure raises StageError naming the stage; a failed run
-    writes nothing to cfg.out_dir (see write_files).
+    writes nothing to cfg.out_dir (see write_files). Settings that are bad
+    whatever the data fail before the data is read (see check_settings).
     """
+    check_settings(n_g=cfg.n_g, c_th=cfg.c_th, hub_sigma=cfg.hub_sigma,
+                   surrogates=cfg.surrogates, seed=cfg.seed)
     panel = read_panel(cfg.prices_path, cfg.metadata_path, cfg.fill_limit)
     rp = panel_returns(panel, cfg.delta)
     tail_fits = fit_tails(rp, cfg.tail_fraction)

@@ -90,7 +90,7 @@ def survival_counts(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise TailFitError("empty sample vector")
-    # + 0.0 turns -0.0 into 0.0, so a zero prints the same on either side
+    # + 0.0 turns -0.0 into 0.0, so no value is a signed zero
     values, counts = np.unique(x + 0.0, return_counts=True)
     at_or_below = np.cumsum(counts)
     return values, x.size - at_or_below, at_or_below - counts

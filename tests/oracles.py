@@ -16,6 +16,7 @@ from fxnet.market_data import (
     _iso_date,
     parse_asset_metadata,
 )
+from fxnet.report import SCHEMA_VERSION, export_json_report
 
 
 def charpoly_coefficients(m):
@@ -111,6 +112,35 @@ def tail_survival_loop(samples, side="positive"):
         if greater > 0:
             out.append((0.0 if v == 0 else float(v), greater / n))
     return out
+
+
+def ccdf_texts_two_sided(samples):
+    """{side: text} of the CCDF files of one series as they were written
+    before each file kept only its rows x > 0: every unique value but the
+    side's largest, x ≤ 0 included, a zero printed as `0`.
+
+    This is the former writer: each magnitude |u| printed once, a `-` before
+    the run of negative x at the top of each file, the ccdf column printed
+    once per count."""
+    x = np.asarray(samples, dtype=float)
+    n = x.size
+    values, counts = np.unique(x + 0.0, return_counts=True)
+    at_or_below = np.cumsum(counts)
+    greater, less = n - at_or_below, at_or_below - counts
+    column = [",%.12g\n" % (k / n) for k in range(n)]
+    mags = ("%.12g " * len(values) % tuple(np.abs(values).tolist())).split()
+
+    def text(mags, counts, signed):
+        cells = [""] * (3 * len(mags))
+        cells[: 3 * signed : 3] = ["-"] * signed
+        cells[1::3] = mags
+        cells[2::3] = map(column.__getitem__, counts)
+        return "x,ccdf\n" + "".join(cells)
+
+    return {
+        "positive": text(mags[:-1], greater[:-1].tolist(), np.count_nonzero(values[:-1] < 0)),
+        "negative": text(mags[:0:-1], less[:0:-1].tolist(), np.count_nonzero(values[1:] > 0)),
+    }
 
 
 def shuffle_surrogate_gather(returns, seed):
@@ -380,3 +410,23 @@ def parse_price_panel_loop(
     assets = tuple(metas[c] for c in codes)
     prices = _freeze(np.array(rows, dtype=float).T)
     return PricePanel(assets=assets, dates=tuple(dates), prices=prices)
+
+
+def graph_json_by_json_dumps(g):
+    """A graph's JSON text as `export_json_report` prints the whole payload,
+    the edges included."""
+    return export_json_report({
+        "schema_version": SCHEMA_VERSION,
+        "kind": g.kind,
+        "nodes": [
+            {
+                "index": idx,
+                "code": meta.code,
+                "name": meta.name,
+                "market_class": meta.market_class,
+                "region": meta.region,
+            }
+            for idx, meta in enumerate(g.assets)
+        ],
+        "edges": [[i, j, w] for i, j, w in g.edges],
+    })

@@ -14,9 +14,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_assets, planted_price_files, synthetic_price_files
+from fxnet import spectral
 from fxnet.cli import main as cli_main
 from fxnet.market_data import ReturnPanel
 from fxnet.network import Graph
@@ -25,6 +26,7 @@ from fxnet.report import (
     PipelineConfig,
     StageError,
     _csv,
+    export_graph_json,
     export_histogram_csv,
     export_json_report,
     export_pajek,
@@ -33,7 +35,7 @@ from fxnet.report import (
     run_pipeline,
     write_files,
 )
-from oracles import read_json_report, read_pajek
+from oracles import graph_json_by_json_dumps, read_json_report, read_pajek
 
 
 def two_node_graph(weight=0.5):
@@ -97,6 +99,39 @@ class TestJsonExport:
         # JSON has no token for these; json.dumps would write bare NaN/Infinity
         with pytest.raises(ValueError):
             export_json_report({"x": [1.0, value]})
+
+
+# weights across the whole exponent range, signed zeros and integer-valued
+# floats; up to 6 nodes, so an edge list may repeat a pair
+WEIGHTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-10**6, 10**6).map(float),
+)
+
+
+class TestGraphJsonExport:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 6), kind=st.sampled_from(["mst", "threshold"]), data=st.data())
+    def test_equals_json_dumps_of_the_whole_payload(self, n, kind, data):
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                             WEIGHTS), max_size=20))
+        g = Graph(assets=make_assets(n), edges=tuple(edges), kind=kind)
+        assert export_graph_json(g) == graph_json_by_json_dumps(g)
+
+    def test_numpy_edges_and_an_empty_edge_list(self):
+        g = Graph(assets=make_assets(3), edges=((np.int64(0), np.int64(2), np.float64(0.1)),),
+                  kind="mst")
+        assert export_graph_json(g) == graph_json_by_json_dumps(g)
+        g = Graph(assets=make_assets(3), edges=(), kind="threshold")
+        assert export_graph_json(g) == graph_json_by_json_dumps(g)
+        assert '"edges": [],' in export_graph_json(g)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, value):
+        g = Graph(assets=make_assets(2), edges=((0, 1, 0.5), (0, 1, value)), kind="mst")
+        with pytest.raises(ValueError):
+            export_graph_json(g)
 
 
 class TestHistogramExport:
@@ -452,6 +487,36 @@ def test_non_finite_cutoff_is_a_network_error(tmp_path, capsys, argv):
                      "--out-dir", str(tmp_path / "out"), *argv[1:]])
     assert code == 1
     assert "error [network]" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "argv, stage, message",
+    [
+        (["report", "--c-th", "nan"], "network", "threshold c_th must be finite, got nan"),
+        (["report", "--hub-sigma=-inf"], "network", "hub_sigma must be finite, got -inf"),
+        (["report", "--n-g", "-1"], "decomposition", "n_g must be >= 0, got -1"),
+        (["report", "--surrogates", "-1"], "surrogates", "surrogates must be >= 0, got -1"),
+        (["report", "--seed", "-1"], "surrogates", "seed must be >= 0, got -1"),
+        (["threshnet", "--c-th=inf"], "network", "threshold c_th must be finite, got inf"),
+        (["threshnet", "--n-g", "-2"], "decomposition", "n_g must be >= 0, got -2"),
+        (["decompose", "--n-g", "-1"], "decomposition", "n_g must be >= 0, got -1"),
+        (["mst", "--hub-sigma", "nan"], "network", "hub_sigma must be finite, got nan"),
+    ],
+    ids=" ".join,
+)
+def test_bad_setting_fails_before_any_eigensolve(tmp_path, capsys, monkeypatch, argv, stage,
+                                                 message):
+    """A setting that is bad whatever the data fails before the panel is
+    decomposed, with the stage that would have rejected it later."""
+    calls = []
+    monkeypatch.setattr(spectral, "eigendecompose", lambda *a: calls.append(a))
+    prices, meta = synthetic_price_files(tmp_path)
+    code = cli_main([argv[0], "--prices", prices, "--metadata", meta,
+                     "--out-dir", str(tmp_path / "out"), *argv[1:]])
+    assert code == 1
+    assert capsys.readouterr().err == f"error [{stage}]: {message}\n"
+    assert calls == []
     assert not os.path.exists(tmp_path / "out")
 
 

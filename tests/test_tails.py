@@ -14,7 +14,7 @@ from fxnet.tails import (
     hill_estimate,
     survival_counts,
 )
-from oracles import pareto_samples, tail_survival_loop
+from oracles import ccdf_texts_two_sided, pareto_samples, tail_survival_loop
 
 # a small pool of values (ties, both signed zeros) mixed with normal noise;
 # numpy's sort leaves -0.0 and 0.0 in no fixed order, so which zero comes
@@ -144,14 +144,14 @@ class TestTailSurvival:
         assert _bits(greater[:-1] / size) == _bits(p for _, p in positive)
         assert _bits(less[1:] / size) == _bits(p for _, p in negative)
 
-    def test_zeros_print_unsigned_on_either_side(self):
-        text = _ccdf_texts(np.array([1.0, 0.0, -2.0, -1.0]))["A00_negative"]
-        assert text.splitlines()[1:3] == ["-1,0.75", "0,0.5"]
+    def test_zeros_count_toward_p_but_print_no_row(self):
+        # two of the four samples are zeros: P(X > 1) is 1/4, not 1/2
+        texts = _ccdf_texts(np.array([0.0, -0.0, 1.0, 2.0]))
+        assert texts == {"A00_positive": "x,ccdf\n1,0.25\n", "A00_negative": "x,ccdf\n"}
         for side in ("positive", "negative"):
-            texts = [_ccdf_texts(np.array([*zeros, -2.0, 1.0]))[f"A00_{side}"]
-                     for zeros in ([0.0, -0.0], [-0.0, 0.0])]
-            assert texts[0] == texts[1], side
-            assert "\n0," in texts[0] and "-0," not in texts[0], side
+            texts = [_ccdf_texts(np.array([*zeros, -2.0, -1.0, 1.0, 2.0]))[f"A00_{side}"]
+                     for zeros in ([0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0])]
+            assert texts == [f"x,ccdf\n1,{1 / 6:.12g}\n"] * 4, side
         assert _bits(survival_counts(np.array([-0.0, 1.0]))[0]) == _bits([0.0, 1.0])
 
     def test_counting_fixture(self):
@@ -196,8 +196,8 @@ class TestTailSurvival:
 
 
 # how the writer's draws are reshaped: one-signed series (with and without
-# zeros) put every row of a file inside or outside its run of `-` rows, and a
-# mirrored series holds v and -v with different multiplicities
+# zeros) leave one file of the series without rows, and a mirrored series
+# holds v and -v with different multiplicities
 SHAPES = {
     "mixed": lambda x: x,
     "positive": lambda x: np.where(x == 0, 1.0, np.abs(x)),
@@ -208,32 +208,70 @@ SHAPES = {
 
 
 def _oracle_text(x, side):
-    """A CCDF file's text printed from the loop oracle's (x, P) pairs."""
-    return "x,ccdf\n" + "".join(f"{v:.12g},{p:.12g}\n" for v, p in tail_survival_loop(x, side))
+    """A CCDF file's text printed from the loop oracle's (x, P) pairs with x > 0."""
+    return "x,ccdf\n" + "".join(f"{v:.12g},{p:.12g}\n"
+                                 for v, p in tail_survival_loop(x, side) if v > 0)
+
+
+def _rows_above_zero(text):
+    """A CCDF file's text without its rows x <= 0."""
+    header, *rows = text.splitlines(keepends=True)
+    return header + "".join(r for r in rows if float(r.split(",")[0]) > 0)
+
+
+def _shaped_draw(pool, size, seed, shape, scale):
+    with np.errstate(over="ignore"):
+        return SHAPES[shape](_pooled_draw(pool, size, seed) * scale)
+
+
+# scales 1e-7 and 1e14 move the normal draws below 1e-4 and past 1e12, where
+# `%.12g` switches to its exponent form, on both signs
+SERIES = st.builds(_shaped_draw, POOLS, st.integers(1, 3000), st.integers(0, 2**32 - 1),
+                   st.sampled_from(sorted(SHAPES)), st.sampled_from([1.0, 1e-7, 1e14]))
 
 
 class TestCcdfText:
-    # scales 1e-7 and 1e14 move the normal draws below 1e-4 and past 1e12,
-    # where `%.12g` switches to its exponent form, on both signs
     @settings(max_examples=200, deadline=None)
-    @given(pool=POOLS, size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
-           shape=st.sampled_from(sorted(SHAPES)), scale=st.sampled_from([1.0, 1e-7, 1e14]))
-    def test_matches_csv_of_loop_oracle(self, pool, size, seed, shape, scale):
-        with np.errstate(over="ignore"):
-            x = SHAPES[shape](_pooled_draw(pool, size, seed) * scale)
+    @given(x=SERIES)
+    def test_matches_csv_of_loop_oracle(self, x):
         texts = _ccdf_texts(x)
         for side in ("positive", "negative"):
             want = _oracle_text(x, side)
             assert _first_difference(texts[f"A00_{side}"], want) is None, side
 
-    def test_signed_rows_and_exponent_form_on_both_sides(self):
-        texts = _ccdf_texts(np.array([-2.5, -1e-05, 0, 0, 1e-05, 3, 1.5e+20]))
+    @settings(max_examples=200, deadline=None)
+    @given(x=SERIES)
+    def test_is_the_two_sided_file_without_its_rows_at_or_below_zero(self, x):
+        texts = _ccdf_texts(x)
+        for side, two_sided in ccdf_texts_two_sided(x).items():
+            want = _rows_above_zero(two_sided)
+            assert _first_difference(texts[f"A00_{side}"], want) is None, side
+
+    def test_exponent_form_and_no_signed_rows_on_either_side(self):
+        texts = _ccdf_texts(np.array([-4e+21, -1.5e+20, -2.5, -1e-05, 0, 0,
+                                      1e-05, 3, 1.5e+20, 4e+21]))
         assert texts == {
-            "A00_positive": "x,ccdf\n-2.5,0.857142857143\n-1e-05,0.714285714286\n"
-                            "0,0.428571428571\n1e-05,0.285714285714\n3,0.142857142857\n",
-            "A00_negative": "x,ccdf\n-1.5e+20,0.857142857143\n-3,0.714285714286\n"
-                            "-1e-05,0.571428571429\n0,0.285714285714\n1e-05,0.142857142857\n",
+            "A00_positive": "x,ccdf\n1e-05,0.3\n3,0.2\n1.5e+20,0.1\n",
+            "A00_negative": "x,ccdf\n1e-05,0.3\n2.5,0.2\n1.5e+20,0.1\n",
         }
+
+    @pytest.mark.parametrize("x, positive, negative", [
+        ([3.0, 1.0, 2.0, 1.0], "1,0.5\n2,0.25\n", ""),
+        ([0.0, 2.0, -0.0, 1.0], "1,0.25\n", ""),
+        ([-3.0, -1.0, -2.0, -1.0], "", "1,0.5\n2,0.25\n"),
+        ([-0.0, -2.0, 0.0, -1.0], "", "1,0.25\n"),
+        ([0.0, -0.0, 0.0], "", ""),
+        ([7.0], "", ""),
+        ([-7.0, -7.0], "", ""),
+        # no negative value: the negative file must not wrap round to the 1
+        ([0.0, 0.0, 1.0], "", ""),
+        ([0.0, 0.0, -1.0], "", ""),
+    ], ids=["positive", "positive-with-zeros", "negative", "negative-with-zeros",
+            "zeros", "single", "single-tied", "zeros-then-one", "zeros-then-minus-one"])
+    def test_one_signed_and_degenerate_series(self, x, positive, negative):
+        texts = _ccdf_texts(np.array(x))
+        assert texts == {"A00_positive": "x,ccdf\n" + positive,
+                         "A00_negative": "x,ccdf\n" + negative}
 
     @pytest.mark.parametrize("size", [1, 2, 3000])
     def test_values_all_tied_at_the_maximum_give_the_header_alone(self, size):
