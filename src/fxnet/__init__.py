@@ -7,7 +7,6 @@ from .market_data import (
     PricePanel,
     ReturnPanel,
     compute_log_returns,
-    normalize_returns,
     parse_price_panel,
 )
 from .tails import TailFit, TailFitError, fit_tail_exponent, hill_estimate

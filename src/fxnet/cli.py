@@ -1,4 +1,5 @@
-"""Command-line front end: each subcommand calls the pipeline's own stage
+"""Command-line front end: every subcommand runs from one PipelineConfig,
+checked before any data is read, and calls the pipeline's own stage
 functions (`fxnet.report`) for the files it writes."""
 
 from __future__ import annotations
@@ -33,59 +34,59 @@ _FLAGS = {
 }
 
 
-def _panel(args):
-    return report.read_panel(args.prices, args.metadata, args.fill_limit)
+def _panel(cfg):
+    return report.read_panel(cfg.prices_path, cfg.metadata_path, cfg.fill_limit)
 
 
-def _returns(args):
-    return report.panel_returns(_panel(args), args.delta)
+def _returns(cfg):
+    return report.panel_returns(_panel(cfg), cfg.delta)
 
 
-def _split(args):
-    rp = _returns(args)
+def _split(cfg):
+    rp = _returns(cfg)
     cm = report.correlate(rp)
     sd, bounds = report.spectrum(cm, rp.n_steps)
-    md, _ = report.decompose(sd, bounds, args.n_g)
+    md, _ = report.decompose(sd, bounds, cfg.n_g)
     return rp, cm, md
 
 
-def cmd_ingest(args) -> None:
+def cmd_ingest(cfg) -> None:
     """parse and align the price panel"""
-    panel = _panel(args)
+    panel = _panel(cfg)
     print(
         f"panel: {panel.n_assets} assets, {panel.n_dates} dates "
         f"({panel.dates[0].isoformat()} .. {panel.dates[-1].isoformat()})"
     )
 
 
-def cmd_returns(args) -> None:
+def cmd_returns(cfg) -> None:
     """write the normalized return panel"""
-    rp = _returns(args)
-    report.write_files(args.out_dir, report.returns_files(rp))
+    rp = _returns(cfg)
+    report.write_files(cfg.out_dir, report.returns_files(rp))
     print(f"wrote returns for {rp.n_assets} assets x {rp.n_steps} steps")
 
 
-def cmd_tails(args) -> None:
+def cmd_tails(cfg) -> None:
     """tail exponent fits and CCDF data"""
-    rp = _returns(args)
+    rp = _returns(cfg)
     fits = [
         {"code": record["code"], "side": side, **record[side]}
-        for record in report.fit_tails(rp, args.tail_fraction)
+        for record in report.fit_tails(rp, cfg.tail_fraction)
         for side in tails.SIDES
     ]
-    report.write_files(args.out_dir, itertools.chain(
+    report.write_files(cfg.out_dir, itertools.chain(
         report.ccdf_files(rp, "ccdf_{}.csv"),
         report.json_file("tail_fits.json", {"tail_fits": fits}),
     ))
     print(f"wrote {len(fits)} tail fits")
 
 
-def cmd_spectrum(args) -> None:
+def cmd_spectrum(cfg) -> None:
     """correlation spectrum and RMT bounds"""
-    rp = _returns(args)
+    rp = _returns(cfg)
     cm = report.correlate(rp)
     sd, bounds = report.spectrum(cm, rp.n_steps)
-    report.write_files(args.out_dir, itertools.chain(
+    report.write_files(cfg.out_dir, itertools.chain(
         report.spectrum_files(rp.assets, cm, sd),
         report.json_file("rmt_bounds.json", {"rmt": dataclasses.asdict(bounds)}),
     ))
@@ -93,47 +94,38 @@ def cmd_spectrum(args) -> None:
           f"RMT bounds [{bounds.lambda_min:.4g}, {bounds.lambda_max:.4g}]")
 
 
-def cmd_decompose(args) -> None:
+def cmd_decompose(cfg) -> None:
     """global/group/random mode decomposition"""
-    report.check_settings(n_g=args.n_g)
-    rp, cm, md = _split(args)
+    rp, cm, md = _split(cfg)
     hists = report.histograms(cm, md)
-    report.write_files(args.out_dir, report.modes_files(rp.assets, md, hists))
+    report.write_files(cfg.out_dir, report.modes_files(rp.assets, md, hists))
     print(f"decomposed with n_g={md.n_g}")
 
 
-def cmd_mst(args) -> None:
+def cmd_mst(cfg) -> None:
     """minimum spanning tree over Mantegna distances"""
-    report.check_settings(hub_sigma=args.hub_sigma)
-    rp = _returns(args)
-    mst, cluster = report.build_mst(report.correlate(rp), rp.assets, args.hub_sigma)
-    report.write_files(args.out_dir, report.graph_files(mst))
+    rp = _returns(cfg)
+    mst, cluster = report.build_mst(report.correlate(rp), rp.assets, cfg.hub_sigma)
+    report.write_files(cfg.out_dir, report.graph_files(mst))
     print(f"MST: {len(mst.edges)} edges, {len(cluster.hubs)} hubs")
 
 
-def cmd_threshnet(args) -> None:
+def cmd_threshnet(cfg) -> None:
     """threshold network over the group matrix"""
-    report.check_settings(n_g=args.n_g, c_th=args.c_th, hub_sigma=args.hub_sigma)
-    rp, _, md = _split(args)
+    rp, _, md = _split(cfg)
     tnet, cluster, sweep, c_th = report.build_threshold(
-        md.c_group, rp.assets, args.c_th, args.hub_sigma
+        md.c_group, rp.assets, cfg.c_th, cfg.hub_sigma
     )
-    report.write_files(args.out_dir, report.graph_files(tnet, sweep))
+    report.write_files(cfg.out_dir, report.graph_files(tnet, sweep))
     print(f"threshold network at c_th={c_th:.6g}: "
           f"{len(tnet.edges)} edges, {len(cluster.components)} components")
 
 
-def cmd_report(args) -> None:
+def cmd_report(cfg) -> None:
     """run the full pipeline"""
-    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-    cfg = PipelineConfig(
-        prices_path=args.prices,
-        metadata_path=args.metadata,
-        **{k: v for k, v in vars(args).items() if k in fields},
-    )
     rep = report.run_pipeline(cfg)
     n_modes = len(rep.payload["spectrum"]["eigenvalues"])
-    print(f"report written to {args.out_dir} ({n_modes} eigenvalues, seed {cfg.seed})")
+    print(f"report written to {cfg.out_dir} ({n_modes} eigenvalues, seed {cfg.seed})")
 
 
 # subcommand -> (function, flags beyond --prices, --metadata, --fill-limit
@@ -159,9 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--prices", required=True, help="price table CSV (date,CODE1,...)")
-        p.add_argument("--metadata", required=True, help="asset metadata CSV")
-        if name != "ingest":
+        p.add_argument("--prices", dest="prices_path", required=True,
+                       help="price table CSV (date,CODE1,...)")
+        p.add_argument("--metadata", dest="metadata_path", required=True,
+                       help="asset metadata CSV")
+        if name == "ingest":
+            p.set_defaults(out_dir="")
+        else:
             p.add_argument("--out-dir", required=True, help="output directory")
         for flag in ("fill_limit", *flags):
             p.add_argument("--" + flag.replace("_", "-"),
@@ -170,9 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
+    cfg = PipelineConfig(**args)  # every other dest is a field name
     try:
-        COMMANDS[args.command][0](args)
+        report.check_settings(cfg)
+        COMMANDS[command][0](cfg)
     except StageError as exc:
         print(f"error [{exc.stage}]: {exc.cause}", file=sys.stderr)
         return 1

@@ -7,7 +7,7 @@ import datetime
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +57,12 @@ class PricePanel:
 
 @dataclass(frozen=True)
 class ReturnPanel:
-    """Log-returns per asset plus the per-asset volatility of the raw returns."""
+    """Log-returns per asset, each row scaled to unit variance, plus the
+    per-asset volatility of the raw returns."""
 
     assets: tuple[AssetMeta, ...]
-    returns: np.ndarray  # N x T
+    returns: np.ndarray  # N x T, rows of unit population variance
     sigma: np.ndarray  # length N, pre-normalization volatility
-    normalized: bool
 
     @property
     def n_assets(self) -> int:
@@ -178,11 +178,8 @@ def parse_price_panel(
     if fill_limit < 0:
         raise PanelError(f"fill_limit must be >= 0, got {fill_limit}")
     metas = parse_asset_metadata(meta)
-    # a first line without a quote is the whole header row: reading it alone
-    # spares a copy of the table in the csv reader when numpy reads the body
-    first_line = raw_table[: raw_table.find("\n") + 1] or raw_table
-    head = raw_table if '"' in first_line else first_line
-    _, header = next(_csv_rows(head, "price table"), (0, None))
+    records = _csv_rows(raw_table, "price table")
+    _, header = next(records, (0, None))
     if header is None:
         raise PanelError("empty price table")
     if not header or header[0].strip().lower() != "date":
@@ -198,8 +195,6 @@ def parse_price_panel(
 
     table = _read_prices_vectorised(raw_table, len(codes))
     if table is None:
-        records = _csv_rows(raw_table, "price table")
-        next(records)  # the header, read above
         table = _read_prices_per_cell(records, codes)
     dates, values = table
     keep = _forward_fill(values, fill_limit)
@@ -366,8 +361,9 @@ def _forward_fill(values: np.ndarray, fill_limit: int) -> np.ndarray:
 
 def compute_log_returns(panel: PricePanel, delta: int = 1) -> ReturnPanel:
     """Log-returns between every delta-th price, so that spans do not overlap
-    (the random-spectrum bounds at Q = T/N assume independent returns), with
-    per-asset volatility in the population convention (divide by T)."""
+    (the random-spectrum bounds at Q = T/N assume independent returns), each
+    row divided by its volatility sigma, which is kept; sigma is the
+    population standard deviation (divide by T)."""
     if delta < 1:
         raise PanelError(f"delta must be >= 1, got {delta}")
     if panel.n_dates < 2 * delta + 1:
@@ -384,18 +380,6 @@ def compute_log_returns(panel: PricePanel, delta: int = 1) -> ReturnPanel:
         )
     return ReturnPanel(
         assets=panel.assets,
-        returns=_freeze(returns),
+        returns=_freeze(returns / sigma[:, None]),
         sigma=_freeze(sigma),
-        normalized=False,
     )
-
-
-def normalize_returns(rp: ReturnPanel) -> ReturnPanel:
-    """Divide each return row by its own volatility; retains the original sigma."""
-    if rp.normalized:
-        raise PanelError("return panel is already normalized")
-    if np.any(rp.sigma < PEG_GUARD_SIGMA):
-        bad = np.flatnonzero(rp.sigma < PEG_GUARD_SIGMA)
-        codes = ", ".join(rp.assets[i].code for i in bad)
-        raise PeggedAssetError(f"cannot normalize zero-volatility series for: {codes}")
-    return replace(rp, returns=_freeze(rp.returns / rp.sigma[:, None]), normalized=True)

@@ -299,22 +299,29 @@ def _stage(name: str):
     return decorate
 
 
-def check_settings(*, n_g: int | str = "auto", c_th: float | str = "auto",
-                   hub_sigma: float = network.DEFAULT_HUB_SIGMA, surrogates: int = 0,
-                   seed: int = DEFAULT_SEED) -> None:
-    """Raise, before any data is read, the StageError that a later stage would
-    raise for a setting whose validity does not depend on the data: a negative
-    int seed, surrogate count or n_g, or a NaN or infinite float hub_sigma or
-    c_th. Any other value is left to the stage that uses it."""
+def check_settings(cfg: PipelineConfig) -> None:
+    """Raise, before any data is read, the StageError, with its text, that a
+    later stage would raise for a setting of `cfg` whose validity does not
+    depend on the data. A value of another type, such as "auto", is left to
+    the stage that uses it."""
     for stage, bad, message in (
-        ("surrogates", isinstance(seed, int) and seed < 0, f"seed must be >= 0, got {seed}"),
-        ("surrogates", isinstance(surrogates, int) and surrogates < 0,
-         f"surrogates must be >= 0, got {surrogates}"),
-        ("decomposition", isinstance(n_g, int) and n_g < 0, f"n_g must be >= 0, got {n_g}"),
-        ("network", isinstance(hub_sigma, float) and not math.isfinite(hub_sigma),
-         f"hub_sigma must be finite, got {hub_sigma}"),
-        ("network", isinstance(c_th, float) and not math.isfinite(c_th),
-         f"threshold c_th must be finite, got {c_th}"),
+        ("ingest", isinstance(cfg.fill_limit, int) and cfg.fill_limit < 0,
+         f"fill_limit must be >= 0, got {cfg.fill_limit}"),
+        ("returns", isinstance(cfg.delta, int) and cfg.delta < 1,
+         f"delta must be >= 1, got {cfg.delta}"),
+        ("tails", isinstance(cfg.tail_fraction, (int, float))
+         and not 0 < cfg.tail_fraction <= 0.5,
+         f"tail_fraction must be in (0, 0.5], got {cfg.tail_fraction}"),
+        ("surrogates", isinstance(cfg.seed, int) and cfg.seed < 0,
+         f"seed must be >= 0, got {cfg.seed}"),
+        ("surrogates", isinstance(cfg.surrogates, int) and cfg.surrogates < 0,
+         f"surrogates must be >= 0, got {cfg.surrogates}"),
+        ("decomposition", isinstance(cfg.n_g, int) and cfg.n_g < 0,
+         f"n_g must be >= 0, got {cfg.n_g}"),
+        ("network", isinstance(cfg.hub_sigma, float) and not math.isfinite(cfg.hub_sigma),
+         f"hub_sigma must be finite, got {cfg.hub_sigma}"),
+        ("network", isinstance(cfg.c_th, float) and not math.isfinite(cfg.c_th),
+         f"threshold c_th must be finite, got {cfg.c_th}"),
     ):
         if bad:
             raise StageError(stage, ValueError(message))
@@ -331,7 +338,7 @@ def read_panel(prices_path: str, metadata_path: str, fill_limit: int) -> PricePa
 
 @_stage("returns")
 def panel_returns(panel: PricePanel, delta: int) -> ReturnPanel:
-    return market_data.normalize_returns(market_data.compute_log_returns(panel, delta))
+    return market_data.compute_log_returns(panel, delta)
 
 
 @_stage("tails")
@@ -523,8 +530,7 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
     writes nothing to cfg.out_dir (see write_files). Settings that are bad
     whatever the data fail before the data is read (see check_settings).
     """
-    check_settings(n_g=cfg.n_g, c_th=cfg.c_th, hub_sigma=cfg.hub_sigma,
-                   surrogates=cfg.surrogates, seed=cfg.seed)
+    check_settings(cfg)
     panel = read_panel(cfg.prices_path, cfg.metadata_path, cfg.fill_limit)
     rp = panel_returns(panel, cfg.delta)
     tail_fits = fit_tails(rp, cfg.tail_fraction)

@@ -57,8 +57,6 @@ class RmtBounds:
 
 def correlation_matrix(rp: ReturnPanel) -> CorrelationMatrix:
     """Pairwise correlations C_ij of the normalized return rows (1/T convention)."""
-    if not rp.normalized:
-        raise PanelError("correlation matrix requires a normalized return panel")
     r = rp.returns
     t = r.shape[1]
     if t < 2:
@@ -124,8 +122,6 @@ def shuffle_surrogate(rp: ReturnPanel, seed: int) -> ReturnPanel:
     output is identical for identical seeds regardless of row evaluation
     order.
     """
-    if not rp.normalized:
-        raise PanelError("surrogate shuffling expects a normalized return panel")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     shuffled = np.array(rp.returns)

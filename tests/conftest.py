@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fxnet.market_data import AssetMeta, ReturnPanel, normalize_returns
+from fxnet.market_data import AssetMeta, ReturnPanel
 
 
 def make_assets(n, market_class="developed"):
@@ -12,21 +12,21 @@ def make_assets(n, market_class="developed"):
     )
 
 
-def panel_from_returns(returns, normalized=False):
-    """Wrap a raw N x T return matrix in a ReturnPanel."""
+def panel_from_returns(returns):
+    """Wrap a raw N x T return matrix in a ReturnPanel, as compute_log_returns
+    does: each row divided by its population standard deviation, kept as sigma."""
     returns = np.asarray(returns, dtype=float)
     sigma = returns.std(axis=1)
     return ReturnPanel(
         assets=make_assets(returns.shape[0]),
-        returns=returns,
+        returns=returns / sigma[:, None],
         sigma=sigma,
-        normalized=normalized,
     )
 
 
 def normalized_noise_panel(rng, n, t):
     """Standard-normal panel, normalized row-wise."""
-    return normalize_returns(panel_from_returns(rng.standard_normal((n, t))))
+    return panel_from_returns(rng.standard_normal((n, t)))
 
 
 def planted_group_panel(rng, n=40, t=4000, group_size=15,
@@ -49,7 +49,7 @@ def planted_group_panel(rng, n=40, t=4000, group_size=15,
         rows[i] = global_loading * f + noise_std * eps[i]
         if labels[i] >= 0:
             rows[i] += group_loading * g[labels[i]]
-    return normalize_returns(panel_from_returns(rows)), labels
+    return panel_from_returns(rows), labels
 
 
 def price_csv(codes, dates, table):

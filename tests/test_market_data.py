@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_assets, meta_csv, panel_from_returns, price_csv
+from conftest import make_assets, meta_csv, price_csv
 from oracles import parse_price_panel_loop
 from fxnet import market_data
 from fxnet.market_data import (
@@ -15,7 +15,6 @@ from fxnet.market_data import (
     PeggedAssetError,
     _read_prices_vectorised,
     compute_log_returns,
-    normalize_returns,
     parse_asset_metadata,
     parse_price_panel,
 )
@@ -467,6 +466,9 @@ def panel_from_prices(rows):
 
 
 class TestLogReturns:
+    """Each row of the panel has unit population std; times its sigma it is
+    the raw log-returns."""
+
     def test_constant_return_rate_triggers_peg_guard(self):
         panel = panel_from_prices([[1.0, math.e, math.e ** 2], [1.0, 2.0, 1.0]])
         with pytest.raises(PeggedAssetError, match="A00"):
@@ -475,20 +477,22 @@ class TestLogReturns:
     def test_analytic_two_step(self):
         panel = panel_from_prices([[1.0, math.e, 1.0], [1.0, 2.0, 8.0]])
         rp = compute_log_returns(panel)
-        assert rp.returns[0] == pytest.approx([1.0, -1.0], abs=1e-12)
+        assert rp.returns[0] * rp.sigma[0] == pytest.approx([1.0, -1.0], abs=1e-12)
         assert rp.sigma[0] == pytest.approx(1.0, abs=1e-12)  # population convention
+        assert rp.returns.std(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_doubling_halving(self):
         panel = panel_from_prices([[2.0, 4.0, 8.0, 4.0], [1.0, 3.0, 2.0, 5.0]])
         rp = compute_log_returns(panel)
         ln2 = math.log(2.0)
-        assert rp.returns[0] == pytest.approx([ln2, ln2, -ln2], abs=1e-12)
+        assert rp.returns[0] * rp.sigma[0] == pytest.approx([ln2, ln2, -ln2], abs=1e-12)
 
     def test_delta_two(self):
         panel = panel_from_prices([[1.0, 2.0, 4.0, 16.0, 8.0], [5.0, 3.0, 7.0, 2.0, 9.0]])
         rp = compute_log_returns(panel, delta=2)
         assert rp.returns.shape == (2, 2)
-        assert rp.returns[0] == pytest.approx([math.log(4.0), math.log(2.0)], abs=1e-12)
+        assert rp.returns[0] * rp.sigma[0] == pytest.approx(
+            [math.log(4.0), math.log(2.0)], abs=1e-12)
 
     def test_delta_validation(self):
         panel = panel_from_prices([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
@@ -503,7 +507,7 @@ class TestLogReturns:
         eigenvalues of pure noise past the bound at Q = T/N."""
         rng = np.random.default_rng(1)
         logp = np.cumsum(rng.standard_normal((74, 6035)) * 0.01, axis=1)
-        rp = normalize_returns(compute_log_returns(panel_from_prices(np.exp(logp)), delta))
+        rp = compute_log_returns(panel_from_prices(np.exp(logp)), delta)
         sd = eigendecompose(correlation_matrix(rp))
         assert select_ng(sd, rmt_bounds(rp.n_assets, rp.n_steps)) == 0
 
@@ -512,38 +516,30 @@ class TestLogReturns:
         prices = np.exp(np.concatenate([[0.0], np.cumsum(row)]))
         panel = panel_from_prices(np.vstack([prices, np.exp(rng.standard_normal(51) * 0.01)]))
         rp = compute_log_returns(panel)
-        assert np.abs(rp.returns[0] - row).max() < 1e-12
+        assert np.abs(rp.returns[0] * rp.sigma[0] - row).max() < 1e-12
 
-
-class TestNormalizeReturns:
     def test_unit_sigma_fixed_point(self):
-        rp = panel_from_returns([[1.0, -1.0], [2.0, -2.0]])
-        out = normalize_returns(rp)
-        assert out.returns[0] == pytest.approx([1.0, -1.0], abs=1e-12)
+        panel = panel_from_prices([[1.0, math.e, 1.0], [1.0, math.e ** 2, 1.0]])
+        rp = compute_log_returns(panel)
+        assert rp.returns[0] == pytest.approx([1.0, -1.0], abs=1e-12)
 
     def test_scaling(self):
-        rp = panel_from_returns([[2.0, -2.0], [1.0, -1.0]])
-        out = normalize_returns(rp)
-        assert out.returns[0] == pytest.approx([1.0, -1.0], abs=1e-12)
-        assert out.sigma[0] == pytest.approx(2.0)
-        assert out.normalized
+        panel = panel_from_prices([[1.0, math.e ** 2, 1.0], [1.0, math.e, 1.0]])
+        rp = compute_log_returns(panel)
+        assert rp.returns[0] == pytest.approx([1.0, -1.0], abs=1e-12)
+        assert rp.sigma[0] == pytest.approx(2.0)
 
     def test_pareto_row_unit_sigma(self, rng):
         row = (1.0 - rng.random(500)) ** (-1.0 / 3.0)
-        rp = panel_from_returns(np.vstack([row, rng.standard_normal(500)]))
-        out = normalize_returns(rp)
-        assert abs(out.returns[0].std() - 1.0) < 1e-9
-
-    def test_double_normalization_rejected(self):
-        rp = normalize_returns(panel_from_returns([[1.0, -1.0], [2.0, -2.0]]))
-        with pytest.raises(PanelError, match="already normalized"):
-            normalize_returns(rp)
+        logp = np.cumsum(np.vstack([row, rng.standard_normal(500)]) * 0.01, axis=1)
+        rp = compute_log_returns(panel_from_prices(np.exp(np.hstack([np.zeros((2, 1)), logp]))))
+        assert abs(rp.returns[0].std() - 1.0) < 1e-9
 
     def test_scale_equivariance_through_pipeline(self, rng):
         logret = rng.standard_normal((2, 40)) * 0.1
         prices = np.exp(np.cumsum(np.hstack([np.zeros((2, 1)), logret]), axis=1))
         scaled = prices.copy()
         scaled[0] *= 7.5  # price rescaling must not change normalized returns
-        a = normalize_returns(compute_log_returns(panel_from_prices(prices)))
-        b = normalize_returns(compute_log_returns(panel_from_prices(scaled)))
+        a = compute_log_returns(panel_from_prices(prices))
+        b = compute_log_returns(panel_from_prices(scaled))
         assert np.abs(a.returns[0] - b.returns[0]).max() < 1e-12

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_assets, planted_price_files, synthetic_price_files
-from fxnet import spectral
+from fxnet import report, spectral
 from fxnet.cli import main as cli_main
 from fxnet.market_data import ReturnPanel
 from fxnet.network import Graph
@@ -502,18 +502,26 @@ def test_non_finite_cutoff_is_a_network_error(tmp_path, capsys, argv):
         (["threshnet", "--n-g", "-2"], "decomposition", "n_g must be >= 0, got -2"),
         (["decompose", "--n-g", "-1"], "decomposition", "n_g must be >= 0, got -1"),
         (["mst", "--hub-sigma", "nan"], "network", "hub_sigma must be finite, got nan"),
+        (["returns", "--delta", "0"], "returns", "delta must be >= 1, got 0"),
+        (["spectrum", "--delta", "0"], "returns", "delta must be >= 1, got 0"),
+        (["tails", "--tail-fraction", "0.9"], "tails",
+         "tail_fraction must be in (0, 0.5], got 0.9"),
+        (["report", "--tail-fraction", "0"], "tails",
+         "tail_fraction must be in (0, 0.5], got 0.0"),
+        (["ingest", "--fill-limit", "-1"], "ingest", "fill_limit must be >= 0, got -1"),
     ],
     ids=" ".join,
 )
 def test_bad_setting_fails_before_any_eigensolve(tmp_path, capsys, monkeypatch, argv, stage,
                                                  message):
-    """A setting that is bad whatever the data fails before the panel is
-    decomposed, with the stage that would have rejected it later."""
+    """A setting that is bad whatever the data fails before the price table
+    is read, with the stage that would have rejected it later."""
     calls = []
     monkeypatch.setattr(spectral, "eigendecompose", lambda *a: calls.append(a))
+    monkeypatch.setattr(report, "read_panel", lambda *a: calls.append(a))
     prices, meta = synthetic_price_files(tmp_path)
-    code = cli_main([argv[0], "--prices", prices, "--metadata", meta,
-                     "--out-dir", str(tmp_path / "out"), *argv[1:]])
+    out_args = [] if argv[0] == "ingest" else ["--out-dir", str(tmp_path / "out")]
+    code = cli_main([argv[0], "--prices", prices, "--metadata", meta, *out_args, *argv[1:]])
     assert code == 1
     assert capsys.readouterr().err == f"error [{stage}]: {message}\n"
     assert calls == []
@@ -525,7 +533,7 @@ def test_returns_peak_memory_stays_near_the_text_length(rng):
     the file's length at its peak: the rows become Python floats one at a
     time, not the whole matrix at once."""
     rp = ReturnPanel(assets=make_assets(100), returns=rng.standard_normal((100, 2499)),
-                     sigma=np.ones(100), normalized=True)
+                     sigma=np.ones(100))
     length = len(dict(returns_files(rp))["returns.csv"])
     gc.collect()
     tracemalloc.start()

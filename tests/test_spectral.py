@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from conftest import normalized_noise_panel, panel_from_returns, planted_group_panel
-from fxnet.market_data import PanelError, normalize_returns
+from conftest import make_assets, normalized_noise_panel, panel_from_returns, planted_group_panel
+from fxnet.market_data import ReturnPanel
 from fxnet.spectral import (
     CorrelationMatrix,
     correlation_matrix,
@@ -26,27 +26,19 @@ def random_correlation(rng, n, t=400):
 
 class TestCorrelationMatrix:
     def test_identical_rows(self):
-        rp = panel_from_returns([[1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]],
-                                normalized=True)
+        rp = panel_from_returns([[1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
         c = correlation_matrix(rp)
         assert np.allclose(c.values, [[1.0, 1.0], [1.0, 1.0]], atol=1e-12)
 
     def test_orthogonal_rows(self):
-        rp = panel_from_returns([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]],
-                                normalized=True)
+        rp = panel_from_returns([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
         c = correlation_matrix(rp)
         assert c.values[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_anticorrelated_rows(self):
-        rp = panel_from_returns([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]],
-                                normalized=True)
+        rp = panel_from_returns([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
         c = correlation_matrix(rp)
         assert c.values[0, 1] == pytest.approx(-1.0, abs=1e-12)
-
-    def test_requires_normalized_panel(self, rng):
-        rp = panel_from_returns(rng.standard_normal((3, 10)))
-        with pytest.raises(PanelError, match="normalized"):
-            correlation_matrix(rp)
 
     def test_invariants(self, rng):
         c = random_correlation(rng, 8).values
@@ -140,7 +132,7 @@ class TestEigendecompose:
                 rows = rng.standard_normal((n, 200))
                 pegged = trial - 38
                 rows[1 : 1 + pegged] = rows[0] + 1e-5 * rng.standard_normal((pegged, 200))
-                rp = normalize_returns(panel_from_returns(rows))
+                rp = panel_from_returns(rows)
             elif trial % 2:
                 rp, _ = planted_group_panel(rng, n=n, t=200, group_size=max(1, n // 3))
             else:
@@ -170,7 +162,7 @@ class TestEigendecompose:
             t = 4000
             f = rng.standard_normal(t)
             rows = 0.6 * f + 0.8 * rng.standard_normal((n, t))
-            rp = normalize_returns(panel_from_returns(rows))
+            rp = panel_from_returns(rows)
             sd = eigendecompose(correlation_matrix(rp))
             lead[n] = sd.eigenvalues[0]
             bounds = rmt_bounds(n, t)
@@ -246,8 +238,9 @@ class TestShuffleSurrogate:
     @pytest.mark.parametrize("t", [1, 2, 3, 750])
     @pytest.mark.parametrize("seed", [0, 1, 2**63])
     def test_matches_gather_oracle(self, t, seed):
-        rp = panel_from_returns(np.random.default_rng(t).standard_normal((4, t)),
-                                normalized=True)
+        # rows as drawn: a single step has no std to divide by
+        rp = ReturnPanel(assets=make_assets(4), sigma=np.ones(4),
+                         returns=np.random.default_rng(t).standard_normal((4, t)))
         out = shuffle_surrogate(rp, seed)
         assert np.array_equal(out.returns, shuffle_surrogate_gather(rp.returns, seed))
 
@@ -261,7 +254,7 @@ class TestShuffleSurrogate:
         t = 2000
         f = rng.standard_normal(t)
         rows = 0.7 * f + 0.7 * rng.standard_normal((20, t))
-        rp = normalize_returns(panel_from_returns(rows))
+        rp = panel_from_returns(rows)
         surrogate = shuffle_surrogate(rp, seed=5)
         sd = eigendecompose(correlation_matrix(surrogate))
         bounds = rmt_bounds(20, t)

@@ -32,8 +32,7 @@ def _pooled_draw(pool, size, seed):
 
 def _ccdf_texts(x):
     """The CCDF file text of each side of one series, as `ccdf_files` writes it."""
-    rp = ReturnPanel(assets=make_assets(1), returns=np.asarray([x]), sigma=np.ones(1),
-                     normalized=True)
+    rp = ReturnPanel(assets=make_assets(1), returns=np.asarray([x]), sigma=np.ones(1))
     return dict(ccdf_files(rp, "{}"))
 
 
