@@ -30,6 +30,6 @@ from .network import (
     threshold_network,
     threshold_sweep,
 )
-from .report import AnalysisReport, PipelineConfig, StageError, run_pipeline
+from .report import PipelineConfig, StageError, run_pipeline
 
 __version__ = "0.1.0"

@@ -123,8 +123,7 @@ def cmd_threshnet(cfg) -> None:
 
 def cmd_report(cfg) -> None:
     """run the full pipeline"""
-    rep = report.run_pipeline(cfg)
-    n_modes = len(rep.payload["spectrum"]["eigenvalues"])
+    n_modes = len(report.run_pipeline(cfg)["spectrum"]["eigenvalues"])
     print(f"report written to {cfg.out_dir} ({n_modes} eigenvalues, seed {cfg.seed})")
 
 

@@ -58,15 +58,6 @@ class PipelineConfig:
     hub_sigma: float = network.DEFAULT_HUB_SIGMA
 
 
-@dataclass
-class AnalysisReport:
-    payload: dict[str, Any]
-
-    @property
-    def seed(self) -> int:
-        return self.payload["config"]["seed"]
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -145,7 +136,6 @@ def export_graph_json(g: Graph) -> str:
     """The text of `export_json_report` of the graph's nodes and edges (each
     edge an [i, j, weight] list), its edges printed by `_EDGE`."""
     text = export_json_report({
-        "schema_version": SCHEMA_VERSION,
         "kind": g.kind,
         "nodes": [
             {
@@ -169,12 +159,6 @@ def export_graph_json(g: Graph) -> str:
     return text.replace('"edges": []', '"edges": [\n' + edges + "\n  ]", 1)
 
 
-def export_histogram_csv(histograms: dict[str, list[tuple[float, float]]]) -> str:
-    """`bin_center,density,component` rows of each component's histogram."""
-    rows = [(c, d, name) for name, hist in histograms.items() for c, d in hist]
-    return _csv(["bin_center", "density", "component"], rows)
-
-
 def export_ccdf_csv(mags: Sequence[str], counts: np.ndarray, column: np.ndarray) -> str:
     """`x,ccdf` rows of one tail's CCDF in ascending x > 0. Row j prints x as
     mags[j], then column[counts[j]], the `,P(X > x)` line end of its count of
@@ -187,26 +171,11 @@ def export_ccdf_csv(mags: Sequence[str], counts: np.ndarray, column: np.ndarray)
     return "x,ccdf\n" + "".join(cells)
 
 
-def export_spectrum_csv(sd: SpectralDecomposition) -> str:
-    return _csv(["index", "eigenvalue"], enumerate(sd.eigenvalues.tolist()))
-
-
-def export_eigenvectors_csv(sd: SpectralDecomposition, assets: tuple[AssetMeta, ...]) -> str:
-    rows = [(j, *u) for j, u in enumerate(sd.eigenvectors.tolist())]
-    return _csv(["index", *(a.code for a in assets)], rows)
-
-
-def export_matrix_csv(m: np.ndarray, assets: tuple[AssetMeta, ...]) -> str:
-    rows = [(a.code, *r) for a, r in zip(assets, np.asarray(m).tolist())]
-    return _csv(["code", *(a.code for a in assets)], rows)
-
-
-def export_sweep_csv(sweep: SweepResult) -> str:
-    rows = [
-        (e.c_th, e.n_active, e.n_components, e.clustered, ";".join(map(str, e.sizes)))
-        for e in sweep.entries
-    ]
-    return _csv(["c_th", "n_active", "n_components", "clustered", "sizes"], rows)
+def export_matrix_csv(m: np.ndarray, assets: tuple[AssetMeta, ...], columns: Iterable[str]) -> str:
+    """A table with one row per asset, labelled by its code, under the header
+    `code,<columns>`. Each row becomes Python floats only when it is printed."""
+    rows = ((a.code, *r.tolist()) for a, r in zip(assets, m))
+    return _csv(["code", *columns], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +190,9 @@ def json_file(rel: str, payload: dict[str, Any]) -> Files:
 
 
 def returns_files(rp: ReturnPanel) -> Files:
-    codes = [a.code for a in rp.assets]
-    rows = ((c, *r.tolist()) for c, r in zip(codes, rp.returns))
-    yield "returns.csv", _csv(["code", *(f"t{k}" for k in range(rp.n_steps))], rows)
-    yield "sigma.csv", _csv(["code", "sigma"], zip(codes, rp.sigma.tolist()))
+    yield "returns.csv", export_matrix_csv(rp.returns, rp.assets,
+                                           (f"t{k}" for k in range(rp.n_steps)))
+    yield "sigma.csv", export_matrix_csv(rp.sigma[:, None], rp.assets, ["sigma"])
 
 
 def ccdf_files(rp: ReturnPanel, template: str) -> Files:
@@ -255,9 +223,11 @@ def ccdf_files(rp: ReturnPanel, template: str) -> Files:
 def spectrum_files(
     assets: tuple[AssetMeta, ...], cm: CorrelationMatrix, sd: SpectralDecomposition
 ) -> Files:
-    yield "spectrum.csv", export_spectrum_csv(sd)
-    yield "eigenvectors.csv", export_eigenvectors_csv(sd, assets)
-    yield "correlation.csv", export_matrix_csv(cm.values, assets)
+    codes = [a.code for a in assets]
+    yield "spectrum.csv", _csv(["index", "eigenvalue"], enumerate(sd.eigenvalues.tolist()))
+    yield "eigenvectors.csv", _csv(["index", *codes], [
+        (j, *u) for j, u in enumerate(sd.eigenvectors.tolist())])
+    yield "correlation.csv", export_matrix_csv(cm.values, assets, codes)
 
 
 def modes_files(
@@ -265,9 +235,11 @@ def modes_files(
     md: ModeDecomposition,
     hists: dict[str, list[tuple[float, float]]],
 ) -> Files:
+    codes = [a.code for a in assets]
     for part in ("global", "group", "random"):
-        yield f"c_{part}.csv", export_matrix_csv(getattr(md, f"c_{part}"), assets)
-    yield "histograms.csv", export_histogram_csv(hists)
+        yield f"c_{part}.csv", export_matrix_csv(getattr(md, f"c_{part}"), assets, codes)
+    yield "histograms.csv", _csv(["bin_center", "density", "component"], [
+        (c, d, name) for name, hist in hists.items() for c, d in hist])
 
 
 def graph_files(g: Graph, sweep: SweepResult | None = None) -> Files:
@@ -275,7 +247,9 @@ def graph_files(g: Graph, sweep: SweepResult | None = None) -> Files:
     yield f"{g.kind}.net", export_pajek(g)
     yield f"{g.kind}.json", export_graph_json(g)
     if sweep is not None:
-        yield "sweep.csv", export_sweep_csv(sweep)
+        yield "sweep.csv", _csv(["c_th", "n_active", "n_components", "clustered", "sizes"], [
+            (e.c_th, e.n_active, e.n_components, e.clustered, ";".join(map(str, e.sizes)))
+            for e in sweep.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +497,9 @@ def _element_stats(m: np.ndarray) -> dict[str, float]:
     }
 
 
-def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
-    """Execute the full analysis and write every artifact under cfg.out_dir.
+def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
+    """Execute the full analysis, write every artifact under cfg.out_dir and
+    return the payload of report.json.
 
     Any stage failure raises StageError naming the stage; a failed run
     writes nothing to cfg.out_dir (see write_files). Settings that are bad
@@ -595,4 +570,4 @@ def run_pipeline(cfg: PipelineConfig) -> AnalysisReport:
         graph_files(tnet, sweep),
         ccdf_files(rp, os.path.join("ccdf", "{}.csv")),
     ))
-    return AnalysisReport(payload=payload)
+    return payload

@@ -84,11 +84,8 @@ def eigendecompose(cm: CorrelationMatrix) -> SpectralDecomposition:
     vals = vals[order]
     vecs = v[:, order].T  # row per eigenvector
 
-    for j in range(n):
-        dom = int(np.argmax(np.abs(vecs[j])))
-        if vecs[j, dom] < 0:
-            vecs[j] = -vecs[j]
-    vecs *= math.sqrt(n)
+    dom = vecs[np.arange(n), np.argmax(np.abs(vecs), axis=1)]
+    vecs *= np.where(dom < 0, -math.sqrt(n), math.sqrt(n))[:, None]
 
     return SpectralDecomposition(eigenvalues=_freeze(vals), eigenvectors=_freeze(vecs))
 

@@ -1,6 +1,8 @@
 """Independent reference implementations used only to check results."""
 
+import csv
 import datetime
+import io
 import itertools
 import json
 import math
@@ -430,3 +432,14 @@ def graph_json_by_json_dumps(g):
         ],
         "edges": [[i, j, w] for i, j, w in g.edges],
     })
+
+
+def csv_text(header, rows):
+    """CSV text as the csv module writes it, with LF line ends, every
+    non-str cell printed as `%.12g` first."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else "%.12g" % c for c in row])
+    return buf.getvalue()

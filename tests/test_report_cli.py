@@ -2,6 +2,7 @@ import ast
 import codecs
 import dataclasses
 import gc
+import itertools
 import json
 import os
 import pathlib
@@ -16,26 +17,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_assets, planted_price_files, synthetic_price_files
+from conftest import (
+    make_assets,
+    normalized_noise_panel,
+    panel_from_returns,
+    planted_price_files,
+    synthetic_price_files,
+)
 from fxnet import report, spectral
 from fxnet.cli import main as cli_main
 from fxnet.market_data import ReturnPanel
+from fxnet.modes import ModeDecomposition
 from fxnet.network import Graph
 from fxnet.report import (
-    AnalysisReport,
     PipelineConfig,
     StageError,
     _csv,
     export_graph_json,
-    export_histogram_csv,
     export_json_report,
     export_pajek,
+    modes_files,
     read_panel,
     returns_files,
     run_pipeline,
     write_files,
 )
-from oracles import graph_json_by_json_dumps, read_json_report, read_pajek
+from oracles import csv_text, graph_json_by_json_dumps, read_json_report, read_pajek
 
 
 def two_node_graph(weight=0.5):
@@ -134,9 +141,16 @@ class TestGraphJsonExport:
             export_graph_json(g)
 
 
+def histograms_text(hists):
+    """histograms.csv as modes_files yields it, for a one-asset decomposition."""
+    md = ModeDecomposition(n_g=0, c_global=np.ones((1, 1)), c_group=np.zeros((1, 1)),
+                           c_random=np.zeros((1, 1)))
+    return dict(modes_files(make_assets(1), md, hists))["histograms.csv"]
+
+
 class TestHistogramExport:
     def test_empty_dict_header_only(self):
-        assert export_histogram_csv({}) == "bin_center,density,component\n"
+        assert histograms_text({}) == "bin_center,density,component\n"
 
     def test_reread_density_normalized(self, rng):
         from fxnet.modes import element_histogram
@@ -144,7 +158,7 @@ class TestHistogramExport:
         m = rng.standard_normal((12, 12))
         m = (m + m.T) / 2
         hist = element_histogram(m, bins=21)
-        text = export_histogram_csv({"full": hist})
+        text = histograms_text({"full": hist})
         rows = [line.split(",") for line in text.splitlines()[1:]]
         centers = np.array([float(r[0]) for r in rows])
         densities = np.array([float(r[1]) for r in rows])
@@ -190,8 +204,7 @@ class TestRunPipeline:
         assert len(ccdf) == 8  # four assets, two sides each
 
     def test_payload_structure(self, completed):
-        rep, _ = completed
-        payload = rep.payload
+        payload, _ = completed
         assert payload["panel"]["n_assets"] == 4
         assert len(payload["tail_fits"]) == 4
         for record in payload["tail_fits"]:
@@ -204,12 +217,12 @@ class TestRunPipeline:
     def test_report_json_matches_payload(self, completed):
         rep, out_dir = completed
         on_disk = read_json_report(os.path.join(out_dir, "report.json"))
-        assert on_disk["panel"] == rep.payload["panel"]
-        assert on_disk["config"]["seed"] == rep.seed
+        assert on_disk["panel"] == rep["panel"]
+        assert on_disk["config"]["seed"] == rep["config"]["seed"]
 
     def test_surrogate_summary(self, completed):
         rep, _ = completed
-        surrogates = rep.payload["surrogates"]
+        surrogates = rep["surrogates"]
         assert surrogates["count"] == 3
         assert 0.0 <= surrogates["bulk_fraction"] <= 1.0
 
@@ -262,8 +275,8 @@ class TestRunPipeline:
             out_dir=str(tmp_path / "out"), n_g="auto", surrogates=2,
         )
         rep = run_pipeline(cfg)
-        assert rep.payload["modes"]["n_g_auto"] == 2
-        assert rep.payload["modes"]["n_g_used"] == 2
+        assert rep["modes"]["n_g_auto"] == 2
+        assert rep["modes"]["n_g_used"] == 2
 
     def test_explicit_threshold_skips_sweep(self, tmp_path):
         prices, meta = synthetic_price_files(tmp_path)
@@ -273,8 +286,8 @@ class TestRunPipeline:
             c_th=0.05, surrogates=2,
         )
         rep = run_pipeline(cfg)
-        assert rep.payload["graphs"]["threshold"]["c_th"] == 0.05
-        assert rep.payload["graphs"]["threshold"]["recommended"] is None
+        assert rep["graphs"]["threshold"]["c_th"] == 0.05
+        assert rep["graphs"]["threshold"]["recommended"] is None
         assert not os.path.exists(os.path.join(out_dir, "sweep.csv"))
 
 
@@ -594,6 +607,83 @@ def test_codes_needing_quotes_round_trip_through_every_csv(tmp_path):
             assert widths == {len(codes) + 1}, rel
         if rel in matrices or rel in ("returns.csv", "sigma.csv"):
             assert [row[0] for row in rows[1:]] == codes, rel
+
+
+def test_every_csv_equals_the_csv_module_text_of_its_rows(rng):
+    """Each CSV that a file group yields equals the csv module's printing of
+    the same rows, on asset codes that need quoting."""
+    codes = ["A", "B,B", "C", 'D"D']
+    assets = tuple(dataclasses.replace(a, code=c) for a, c in zip(make_assets(4), codes))
+    rp = dataclasses.replace(panel_from_returns(rng.standard_normal((4, 300))), assets=assets)
+    cm = report.correlate(rp)
+    sd, bounds = report.spectrum(cm, rp.n_steps)
+    md, _ = report.decompose(sd, bounds, 2)
+    hists = report.histograms(cm, md)
+    tnet, _, sweep, _ = report.build_threshold(md.c_group, assets, "auto", 2.0)
+    assert sweep.entries
+
+    def by_code(m):
+        return [(c, *r) for c, r in zip(codes, m.tolist())]
+
+    expected = {
+        "spectrum.csv": csv_text(["index", "eigenvalue"], enumerate(sd.eigenvalues.tolist())),
+        "eigenvectors.csv": csv_text(["index", *codes],
+                                     [(j, *u) for j, u in enumerate(sd.eigenvectors.tolist())]),
+        "correlation.csv": csv_text(["code", *codes], by_code(cm.values)),
+        **{f"c_{part}.csv": csv_text(["code", *codes], by_code(getattr(md, f"c_{part}")))
+           for part in ("global", "group", "random")},
+        "histograms.csv": csv_text(["bin_center", "density", "component"],
+                                   [(c, d, name) for name, h in hists.items() for c, d in h]),
+        "sweep.csv": csv_text(["c_th", "n_active", "n_components", "clustered", "sizes"],
+                              [(e.c_th, e.n_active, e.n_components, e.clustered,
+                                ";".join(map(str, e.sizes))) for e in sweep.entries]),
+        "returns.csv": csv_text(["code", *(f"t{k}" for k in range(rp.n_steps))],
+                                by_code(rp.returns)),
+        "sigma.csv": csv_text(["code", "sigma"], zip(codes, rp.sigma.tolist())),
+    }
+    files = dict(itertools.chain(
+        report.spectrum_files(assets, cm, sd),
+        report.modes_files(assets, md, hists),
+        report.graph_files(tnet, sweep),
+        report.returns_files(rp),
+    ))
+    assert {rel: text for rel, text in files.items() if rel.endswith(".csv")} == expected
+
+
+def _nan_in_payload(monkeypatch, rng):
+    return report.json_file("report.json", {"x": [1.0, float("nan")]})
+
+
+def _nan_edge_weight(monkeypatch, rng):
+    g = Graph(assets=make_assets(2), edges=((0, 1, float("nan")),), kind="mst")
+    return report.graph_files(g)
+
+
+def _csv_raises(monkeypatch, rng):
+    def fail(header, rows):
+        raise ValueError("cannot format")
+
+    monkeypatch.setattr(report, "_csv", fail)
+    cm = report.correlate(normalized_noise_panel(rng, 3, 50))
+    sd, _ = report.spectrum(cm, 50)
+    return report.spectrum_files(make_assets(3), cm, sd)
+
+
+@pytest.mark.parametrize("group", [_nan_in_payload, _nan_edge_weight, _csv_raises],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_a_formatting_failure_in_a_file_group_is_an_export_error(tmp_path, monkeypatch, rng,
+                                                                 group):
+    """A group formats each file only when write_files asks for it, so a
+    formatting failure is raised there, as an export error, and writes
+    nothing."""
+    files = group(monkeypatch, rng)
+    out_dir = tmp_path / "out"
+    with pytest.raises(StageError) as err:
+        write_files(str(out_dir), files)
+    assert err.value.stage == "export"
+    assert isinstance(err.value.cause, ValueError)
+    assert not out_dir.exists()
+    assert _staging_dirs(tmp_path) == []
 
 
 @pytest.mark.parametrize("marked", [("prices",), ("metadata",), ("prices", "metadata")])
