@@ -15,6 +15,7 @@ import os
 import re
 import shutil
 import tempfile
+import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -256,13 +257,16 @@ def graph_files(g: Graph, sweep: SweepResult | None = None) -> Files:
 # stages
 
 def _stage(name: str):
-    """Decorator: any failure inside the function is raised as StageError(name)."""
+    """Decorator: any failure inside the function is raised as StageError(name),
+    and numpy's OpenBLAS runs on one thread while it runs, so that the results
+    do not depend on the caller's BLAS thread count."""
 
     def decorate(fn):
         @functools.wraps(fn)
         def run(*args, **kwargs):
             try:
-                return fn(*args, **kwargs)
+                with spectral._one_blas_thread():
+                    return fn(*args, **kwargs)
             except StageError:
                 raise
             except Exception as exc:
@@ -301,12 +305,31 @@ def check_settings(cfg: PipelineConfig) -> None:
             raise StageError(stage, ValueError(message))
 
 
+def _read_text(path: str, inputs: dict[str, Any] | None, key: str) -> str:
+    """The text of the file at `path`, decoded as `open(path, encoding=
+    "utf-8-sig")` reads it; if `inputs` is a dict, inputs[key] gets the
+    sha256 and length of its bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if inputs is not None:
+        import hashlib  # only when hashing: loading OpenSSL takes a few ms of every import
+
+        inputs[key] = {"sha256": hashlib.sha256(raw).hexdigest(), "bytes": len(raw)}
+    text = raw.decode("utf-8-sig")
+    if "\r" in text:  # universal newlines, as text mode reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 @_stage("ingest")
-def read_panel(prices_path: str, metadata_path: str, fill_limit: int) -> PricePanel:
-    with open(prices_path, "r", encoding="utf-8-sig") as fh:
-        raw_prices = fh.read()
-    with open(metadata_path, "r", encoding="utf-8-sig") as fh:
-        raw_meta = fh.read()
+def read_panel(
+    prices_path: str, metadata_path: str, fill_limit: int,
+    inputs: dict[str, Any] | None = None,
+) -> PricePanel:
+    """The panel of the two files. If `inputs` is a dict, it gets the sha256
+    and byte count of each file under "prices" and "metadata"."""
+    raw_prices = _read_text(prices_path, inputs, "prices")
+    raw_meta = _read_text(metadata_path, inputs, "metadata")
     return market_data.parse_price_panel(raw_prices, raw_meta, fill_limit)
 
 
@@ -343,22 +366,63 @@ def spectrum(cm: CorrelationMatrix, n_steps: int) -> tuple[SpectralDecomposition
     return spectral.eigendecompose(cm), spectral.rmt_bounds(cm.size, n_steps)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @_stage("surrogates")
 def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -> dict[str, Any]:
+    """The bulk statistics of `count` shuffled surrogates of rp, the k-th
+    shuffled with the k-th of derive_seeds(seed, count).
+
+    The surrogates run on min(count, usable CPUs) workers, the calling thread
+    and one thread per further worker, each with one N x T buffer; numpy
+    releases the GIL in the shuffles, the Gram products and the
+    eigensolves. Each surrogate's results go to its own slot, so the output
+    does not depend on the number of workers."""
+    if count == 0:
+        return {"count": 0, "seed": seed}
     lo = bounds.lambda_min - BULK_MARGIN
     hi = bounds.lambda_max + BULK_MARGIN
-    all_vals: list[np.ndarray] = []
-    pooled: list[np.ndarray] = []
-    for s in spectral.derive_seeds(seed, count):
-        surrogate = spectral.shuffle_surrogate(rp, s)
-        ssd = spectral.eigendecompose(spectral.correlation_matrix(surrogate))
-        lam = ssd.eigenvalues
-        all_vals.append(lam)
-        pooled.append(ssd.eigenvectors[(lam >= lo) & (lam <= hi)].ravel())
-    if not all_vals:
-        return {"count": 0, "seed": seed}
-    vals = np.concatenate(all_vals)
-    components = np.concatenate(pooled)
+    seeds = spectral.derive_seeds(seed, count)
+    n_workers = min(count, _usable_cpus())
+    # surrogate k -> (its eigenvalues, the components of its bulk eigenvectors)
+    results: list[Any] = [None] * count
+    errors: list[Exception] = []
+    # allocated by the calling thread: memory a worker thread allocates stays
+    # in that thread's malloc arena once freed, raising the peak of later runs
+    bufs = [np.empty(rp.returns.shape) for _ in range(n_workers)]
+
+    def work(first: int) -> None:
+        # surrogates first, first + n_workers, ...; stops after any worker's failure
+        try:
+            buf = bufs[first]
+            for k in range(first, count, n_workers):
+                if errors:
+                    return
+                ssd = spectral.eigendecompose(spectral.surrogate_correlation(rp, seeds[k], buf))
+                lam = ssd.eigenvalues
+                results[k] = lam, ssd.eigenvectors[(lam >= lo) & (lam <= hi)].ravel()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for first in range(1, n_workers):
+            thread = threading.Thread(target=work, args=(first,), name=f"fxnet-surrogates-{first}")
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    vals = np.concatenate([lam for lam, _ in results])
+    components = np.concatenate([c for _, c in results])
     ks = spectral.normal_ks_statistic(components) if components.size else None
     return {
         "count": count,
@@ -367,6 +431,8 @@ def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -
         "bulk_high": hi,
         "bulk_fraction": float(np.mean((vals >= lo) & (vals <= hi))),
         "ks_statistic": ks,
+        "eigenvalue_max": float(vals.max()),
+        "eigenvalue_min": float(vals.min()),
     }
 
 
@@ -497,6 +563,9 @@ def _element_stats(m: np.ndarray) -> dict[str, float]:
     }
 
 
+_PATHS = ("prices_path", "metadata_path", "out_dir")
+
+
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     """Execute the full analysis, write every artifact under cfg.out_dir and
     return the payload of report.json.
@@ -506,7 +575,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     whatever the data fail before the data is read (see check_settings).
     """
     check_settings(cfg)
-    panel = read_panel(cfg.prices_path, cfg.metadata_path, cfg.fill_limit)
+    inputs: dict[str, Any] = {}
+    panel = read_panel(cfg.prices_path, cfg.metadata_path, cfg.fill_limit, inputs)
     rp = panel_returns(panel, cfg.delta)
     tail_fits = fit_tails(rp, cfg.tail_fraction)
     cm = correlate(rp)
@@ -532,7 +602,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
 
     payload: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "config": dataclasses.asdict(cfg),
+        # the inputs by their content, not by where they or the outputs live
+        "config": {k: v for k, v in dataclasses.asdict(cfg).items() if k not in _PATHS},
+        "inputs": inputs,
         "panel": {
             "n_assets": rp.n_assets,
             "n_dates": panel.n_dates,

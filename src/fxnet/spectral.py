@@ -3,6 +3,9 @@ reference quantities (Marchenko-Pastur bounds, shuffled surrogates)."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -11,6 +14,13 @@ import numpy as np
 from .market_data import PanelError, ReturnPanel, _freeze
 
 SYMMETRY_TOL = 1e-12
+
+# (setter, getter) of the thread count of the OpenBLAS in numpy's wheels:
+# scipy-openblas in numpy >= 2, OpenBLAS in numpy 1.x
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+)
 
 
 @dataclass(frozen=True)
@@ -55,19 +65,80 @@ class RmtBounds:
     lambda_max: float
 
 
-def correlation_matrix(rp: ReturnPanel) -> CorrelationMatrix:
-    """Pairwise correlations C_ij of the normalized return rows (1/T convention)."""
-    r = rp.returns
-    t = r.shape[1]
+@functools.cache
+def _blas_threads():
+    """(set, get) of the thread count of the OpenBLAS numpy loaded, or None
+    for a BLAS without a known setter (MKL, Accelerate, a system BLAS).
+
+    The symbols are looked up through numpy's LAPACK extension module, whose
+    handle also reaches the libraries it links."""
+    from numpy.linalg import _umath_linalg as ext
+
+    try:
+        lib = ctypes.CDLL(ext.__file__)
+    except OSError:
+        return None
+    for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+        if hasattr(lib, set_name) and hasattr(lib, get_name):
+            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, so that its results
+    do not depend on how the library splits the work; the caller's count
+    comes back afterwards. A BLAS without a known setter is left as it is."""
+    fns = _blas_threads()
+    if fns is None:
+        yield
+        return
+    set_threads, get_threads = fns
+    saved = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(saved)
+
+
+def _shuffle_rows(r: np.ndarray, seed: int) -> None:
+    """Permute each row of `r` in place with its own stream of (seed, row index)."""
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    for i, row in enumerate(r):
+        np.random.default_rng([seed, i]).shuffle(row)
+
+
+def _correlation_of(buf: np.ndarray) -> CorrelationMatrix:
+    """C of the rows of `buf` (1/T convention), which are centred in place."""
+    t = buf.shape[1]
     if t < 2:
         raise PanelError("need at least 2 time steps")
-    centered = r - r.mean(axis=1, keepdims=True)
-    c = centered @ centered.T / t
+    buf -= buf.mean(axis=1, keepdims=True)
+    c = buf @ buf.T / t
     c = (c + c.T) / 2.0
     np.fill_diagonal(c, 1.0)
     cm = CorrelationMatrix(values=_freeze(c))
     cm.validate()
     return cm
+
+
+def correlation_matrix(rp: ReturnPanel) -> CorrelationMatrix:
+    """Pairwise correlations C_ij of the normalized return rows (1/T convention)."""
+    return _correlation_of(np.array(rp.returns))
+
+
+def surrogate_correlation(rp: ReturnPanel, seed: int, buf: np.ndarray) -> CorrelationMatrix:
+    """`correlation_matrix(shuffle_surrogate(rp, seed))`, computed in `buf`, an
+    array of rp.returns' shape that is overwritten, so that a caller running
+    many surrogates needs one such array instead of two per surrogate."""
+    np.copyto(buf, rp.returns)
+    _shuffle_rows(buf, seed)
+    return _correlation_of(buf)
 
 
 def eigendecompose(cm: CorrelationMatrix) -> SpectralDecomposition:
@@ -119,11 +190,8 @@ def shuffle_surrogate(rp: ReturnPanel, seed: int) -> ReturnPanel:
     output is identical for identical seeds regardless of row evaluation
     order.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
     shuffled = np.array(rp.returns)
-    for i in range(rp.n_assets):
-        np.random.default_rng([seed, i]).shuffle(shuffled[i])
+    _shuffle_rows(shuffled, seed)
     return replace(rp, returns=_freeze(shuffled))
 
 

@@ -155,6 +155,34 @@ def shuffle_surrogate_gather(returns, seed):
     return out
 
 
+def surrogate_spectra_loop(returns, master_seed, count):
+    """(eigenvalues, eigenvectors) of each of `count` shuffled surrogates,
+    one after another in one thread: surrogate k is `shuffle_surrogate_gather`
+    with the k-th state of SeedSequence(master_seed), minus its row means,
+    C = X X^T / T made symmetric with a unit diagonal, then `np.linalg.eigh`.
+    Eigenvalues descend (stable order); row j of the eigenvectors is u_j,
+    flipped so that its largest-magnitude component is positive and scaled
+    to sum_i u_ji^2 = N."""
+    returns = np.asarray(returns, dtype=float)
+    n, t = returns.shape
+    seeds = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
+    spectra = []
+    for seed in seeds.tolist():
+        x = shuffle_surrogate_gather(returns, seed)
+        x = x - x.mean(axis=1, keepdims=True)
+        c = x @ x.T / t
+        c = (c + c.T) / 2.0
+        np.fill_diagonal(c, 1.0)
+        vals, v = np.linalg.eigh(c)
+        order = np.argsort(-vals, kind="stable")
+        vecs = v[:, order].T
+        for row in vecs:
+            if row[np.argmax(np.abs(row))] < 0:
+                row *= -1.0
+        spectra.append((vals[order], vecs * math.sqrt(n)))
+    return spectra
+
+
 def kruskal_mst_tuples(d):
     """Minimum spanning tree edges (i, j, d[i, j]) in the order Kruskal takes
     them from a sorted list of (d[i, j], i, j) tuples over every pair i < j,

@@ -4,6 +4,7 @@ Each test prints one `criterion N (<name>): PASS|FAIL` line on the real
 stdout so the verdicts are visible even under pytest's output capture.
 """
 
+import hashlib
 import math
 import os
 import shutil
@@ -254,18 +255,53 @@ run_pipeline(PipelineConfig(prices_path=sys.argv[1], metadata_path=sys.argv[2],
 """
 
 
-def test_determinism_with_two_blas_threads(tmp_path):
-    # BLAS reads its thread count once per process, so each run gets a fresh
-    # interpreter; at 150 x 750 BLAS splits its work across threads, and the
-    # files differ from those of a one-thread run
-    prices, meta, _ = planted_price_files(tmp_path, n=150, t=750, group_size=40)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+def _run_in_fresh_interpreter(threads, prices, meta, out_dir):
+    # BLAS reads its thread count once per process
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(sys.path))
-    out_dir = str(tmp_path / "out")  # report.json records out_dir
-    trees = []
-    for _ in range(2):
-        subprocess.run([sys.executable, "-c", _PIPELINE_SCRIPT, prices, meta, out_dir],
-                       env=env, check=True, timeout=300)
-        trees.append(snapshot_tree(out_dir))
-        shutil.rmtree(out_dir)
+    subprocess.run([sys.executable, "-c", _PIPELINE_SCRIPT, prices, meta, out_dir],
+                   env=env, check=True, timeout=300)
+    return snapshot_tree(out_dir)
+
+
+def test_determinism_with_two_blas_threads(tmp_path):
+    # two runs at two BLAS threads, at which an unpinned BLAS splits its work at 150 x 750
+    prices, meta, _ = planted_price_files(tmp_path, n=150, t=750, group_size=40)
+    trees = [_run_in_fresh_interpreter("2", prices, meta, str(tmp_path / f"out{k}"))
+             for k in range(2)]
     assert trees[0] and trees[0] == trees[1]
+
+
+def test_same_bytes_at_any_blas_thread_count_and_any_paths(tmp_path):
+    # each run reads its own copy of the inputs and writes its own out_dir
+    prices, meta, _ = planted_price_files(tmp_path, n=150, t=750, group_size=40)
+    trees = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        shutil.copy(prices, run_dir / "prices.csv")
+        shutil.copy(meta, run_dir / "meta.csv")
+        trees.append(_run_in_fresh_interpreter(
+            threads, str(run_dir / "prices.csv"), str(run_dir / "meta.csv"),
+            str(run_dir / "out")))
+    assert trees[0] and trees[0] == trees[1]
+
+
+def test_one_changed_price_byte_changes_the_recorded_digest(tmp_path):
+    prices, meta = synthetic_price_files(tmp_path)
+    with open(prices, "rb") as fh:
+        raw = fh.read()
+    first = run_pipeline(PipelineConfig(prices_path=prices, metadata_path=meta,
+                                        out_dir=str(tmp_path / "a"), surrogates=1))
+    assert first["inputs"]["prices"] == {"sha256": hashlib.sha256(raw).hexdigest(),
+                                         "bytes": len(raw)}
+    # the last digit of the last price, which stays a positive price
+    last = raw[-2:-1]
+    assert last.isdigit()
+    with open(prices, "wb") as fh:
+        fh.write(raw[:-2] + (b"1" if last == b"0" else b"0") + b"\n")
+    second = run_pipeline(PipelineConfig(prices_path=prices, metadata_path=meta,
+                                         out_dir=str(tmp_path / "b"), surrogates=1))
+    assert second["inputs"]["prices"]["bytes"] == first["inputs"]["prices"]["bytes"]
+    assert second["inputs"]["prices"]["sha256"] != first["inputs"]["prices"]["sha256"]
+    assert second["inputs"]["metadata"] == first["inputs"]["metadata"]

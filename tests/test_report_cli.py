@@ -2,6 +2,7 @@ import ast
 import codecs
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -11,6 +12,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -42,7 +44,13 @@ from fxnet.report import (
     run_pipeline,
     write_files,
 )
-from oracles import csv_text, graph_json_by_json_dumps, read_json_report, read_pajek
+from oracles import (
+    csv_text,
+    graph_json_by_json_dumps,
+    read_json_report,
+    read_pajek,
+    surrogate_spectra_loop,
+)
 
 
 def two_node_graph(weight=0.5):
@@ -225,6 +233,17 @@ class TestRunPipeline:
         surrogates = rep["surrogates"]
         assert surrogates["count"] == 3
         assert 0.0 <= surrogates["bulk_fraction"] <= 1.0
+        assert surrogates["eigenvalue_min"] <= surrogates["eigenvalue_max"]
+
+    def test_inputs_are_recorded_by_content_not_by_path(self, completed):
+        rep, _ = completed
+        assert not {"prices_path", "metadata_path", "out_dir"} & set(rep["config"])
+        assert set(rep["config"]) == {f.name for f in dataclasses.fields(PipelineConfig)} - {
+            "prices_path", "metadata_path", "out_dir"}
+        assert set(rep["inputs"]) == {"prices", "metadata"}
+        for entry in rep["inputs"].values():
+            assert set(entry) == {"sha256", "bytes"}
+            assert re.fullmatch(r"[0-9a-f]{64}", entry["sha256"])
 
     def test_pajek_consistent_with_json_graph(self, completed):
         _, out_dir = completed
@@ -289,6 +308,135 @@ class TestRunPipeline:
         assert rep["graphs"]["threshold"]["c_th"] == 0.05
         assert rep["graphs"]["threshold"]["recommended"] is None
         assert not os.path.exists(os.path.join(out_dir, "sweep.csv"))
+
+
+def test_read_panel_hashes_only_when_asked(tmp_path):
+    prices, meta = synthetic_price_files(tmp_path)
+    inputs = {}
+    panel = read_panel(prices, meta, 5, inputs)
+    assert np.array_equal(panel.prices, read_panel(prices, meta, 5).prices)
+    for key, path in (("prices", prices), ("metadata", meta)):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        assert inputs[key] == {"sha256": hashlib.sha256(raw).hexdigest(), "bytes": len(raw)}
+
+
+class TestSurrogateStage:
+    """surrogate_stats fans the surrogates out over threads; its summary must
+    be that of the one-thread loop of `oracles.surrogate_spectra_loop`."""
+
+    SEED = 4242
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        rp = normalized_noise_panel(np.random.default_rng(77), 12, 400)
+        return rp, spectral.rmt_bounds(12, 400)
+
+    @staticmethod
+    def expected(rp, bounds, seed, count):
+        if count == 0:
+            return {"count": 0, "seed": seed}
+        lo = bounds.lambda_min - report.BULK_MARGIN
+        hi = bounds.lambda_max + report.BULK_MARGIN
+        spectra = surrogate_spectra_loop(rp.returns, seed, count)
+        vals = np.concatenate([lam for lam, _ in spectra])
+        pooled = np.concatenate([vecs[(lam >= lo) & (lam <= hi)].ravel() for lam, vecs in spectra])
+        return {
+            "count": count,
+            "seed": seed,
+            "bulk_low": lo,
+            "bulk_high": hi,
+            "bulk_fraction": float(np.mean((vals >= lo) & (vals <= hi))),
+            "ks_statistic": spectral.normal_ks_statistic(pooled),
+            "eigenvalue_max": float(vals.max()),
+            "eigenvalue_min": float(vals.min()),
+        }
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 10])
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_equals_the_serial_loop_at_any_worker_count(self, panel, monkeypatch, cpus, count):
+        rp, bounds = panel
+        threads = set()
+        real = spectral.surrogate_correlation
+
+        def recording(*args):
+            threads.add(threading.current_thread().name)
+            return real(*args)
+
+        monkeypatch.setattr(report, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(spectral, "surrogate_correlation", recording)
+        got = report.surrogate_stats(rp, bounds, self.SEED, count)
+        assert got == self.expected(rp, bounds, self.SEED, count)
+        assert len(threads) == min(cpus, count)
+
+    def test_more_workers_than_cpus_switching_every_microsecond(self, panel, monkeypatch):
+        rp, bounds = panel
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 8)
+        got = {}
+        runner = threading.Thread(
+            target=lambda: got.update(report.surrogate_stats(rp, bounds, self.SEED, 24)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert got == self.expected(rp, bounds, self.SEED, 24)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failing_surrogate_is_a_surrogates_error(self, panel, monkeypatch, failing):
+        rp, bounds = panel
+        real = spectral.surrogate_correlation
+
+        def fail_on_one_thread(*args):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (failing == "caller"):
+                raise FloatingPointError(f"{failing} failed")
+            return real(*args)
+
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(spectral, "surrogate_correlation", fail_on_one_thread)
+        before = threading.active_count()
+        with pytest.raises(StageError) as err:
+            report.surrogate_stats(rp, bounds, self.SEED, 5)
+        assert err.value.stage == "surrogates"
+        assert str(err.value.cause) == f"{failing} failed"
+        assert threading.active_count() == before
+
+
+_BLAS_PROBE = """
+import json, sys
+from fxnet import report, spectral
+_, get_threads = spectral._blas_threads()
+inside = set()
+eigendecompose = spectral.eigendecompose
+
+def probe(cm):
+    inside.add(get_threads())
+    return eigendecompose(cm)
+
+spectral.eigendecompose = probe
+report._usable_cpus = lambda: 2
+before = get_threads()
+report.run_pipeline(report.PipelineConfig(
+    prices_path=sys.argv[1], metadata_path=sys.argv[2], out_dir=sys.argv[3], surrogates=3))
+print(json.dumps({"before": before, "inside": sorted(inside), "after": get_threads()}))
+"""
+
+
+def test_stages_run_on_one_blas_thread_and_restore_the_count(tmp_path):
+    if spectral._blas_threads() is None:
+        pytest.skip("numpy's BLAS has no known thread-count setter")
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS caps its thread count at the CPU count")
+    prices, meta = synthetic_price_files(tmp_path)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, prices, meta, str(tmp_path / "out")],
+                          env=env, check=True, capture_output=True, text=True, timeout=300)
+    # the spectrum stage and the surrogates, on the caller and on the worker thread
+    assert json.loads(proc.stdout) == {"before": 2, "inside": [1], "after": 2}
 
 
 class TestCli:
