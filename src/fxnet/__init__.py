@@ -17,7 +17,6 @@ from .spectral import (
     correlation_matrix,
     eigendecompose,
     rmt_bounds,
-    shuffle_surrogate,
 )
 from .modes import ModeDecomposition, decompose_modes, element_histogram, select_ng
 from .network import (

@@ -69,11 +69,13 @@ def cmd_returns(cfg) -> None:
 def cmd_tails(cfg) -> None:
     """tail exponent fits and CCDF data"""
     rp = _returns(cfg)
-    fits = [
-        {"code": record["code"], "side": side, **record[side]}
-        for record in report.fit_tails(rp, cfg.tail_fraction)
-        for side in tails.SIDES
-    ]
+    records = report.fit_tails(rp, cfg.tail_fraction)
+    # fits are this command's only job, so a tail that cannot be fitted fails it
+    reasons = [reason for record in records for reason in record.get("skipped", {}).values()]
+    if reasons:
+        raise StageError("tails", tails.TailFitError(reasons[0]))
+    fits = [{"code": record["code"], "side": side, **record[side]}
+            for record in records for side in tails.SIDES]
     report.write_files(cfg.out_dir, itertools.chain(
         report.ccdf_files(rp, "ccdf_{}.csv"),
         report.json_file("tail_fits.json", {"tail_fits": fits}),

@@ -214,8 +214,8 @@ def _read_prices_vectorised(
     `_read_prices_per_cell` reads to the same result, which then reads it
     and words any error.
 
-    Without quotes every line is one csv row and every comma a delimiter;
-    `\\r\\n` line ends are read as `\\n`, and a lone `\\r` declines. Without
+    Without quotes or `\\r` every line is one csv row and every comma a
+    delimiter (`report.read_panel` turns every line end into `\\n`). Without
     `n` or `N` no cell spells nan or inf, and `_blanks_as_nan` writes each
     empty or whitespace-only cell as `nan`, so a NaN in the matrix is a
     blank cell. Non-ASCII text, control bytes and a line over the csv field
@@ -223,10 +223,7 @@ def _read_prices_vectorised(
     rows fail the comma count. The body is read in chunks of whole lines,
     so that no mask as long as the table is made.
     """
-    if '"' in raw_table or not raw_table.isascii():
-        return None
-    crlf = "\r" in raw_table
-    if crlf and raw_table.count("\r") != raw_table.count("\r\n"):
+    if '"' in raw_table or "\r" in raw_table or not raw_table.isascii():
         return None
     start = raw_table.find("\n") + 1
     if not start or raw_table.find("n", start) >= 0 or raw_table.find("N", start) >= 0:
@@ -238,8 +235,6 @@ def _read_prices_vectorised(
         stop = raw_table.find("\n", start + _CHUNK) + 1 or len(raw_table)
         chunk = raw_table[start:stop]
         start = stop
-        if crlf:
-            chunk = chunk.replace("\r\n", "\n")
         read = _blanks_as_nan(chunk, field_limit)
         if read is None:
             return None

@@ -267,8 +267,6 @@ def _stage(name: str):
             try:
                 with spectral._one_blas_thread():
                     return fn(*args, **kwargs)
-            except StageError:
-                raise
             except Exception as exc:
                 raise StageError(name, exc) from exc
 
@@ -340,12 +338,20 @@ def panel_returns(panel: PricePanel, delta: int) -> ReturnPanel:
 
 @_stage("tails")
 def fit_tails(rp: ReturnPanel, tail_fraction: float) -> list[dict[str, Any]]:
-    """Per asset: its code and, under each side, the Hill fit of that tail."""
+    """Per asset: its code and, under each side, the Hill fit of that tail, or
+    None for a tail that cannot be fitted (a short series, or a pegged one
+    whose threshold is not positive). Only a record with such a side has
+    "skipped", mapping the side to the TailFitError text."""
     records = []
     for meta, row in zip(rp.assets, rp.returns):
         record: dict[str, Any] = {"code": meta.code}
         for side in tails.SIDES:
-            fit = tails.fit_tail_exponent(row, side, tail_fraction)
+            try:
+                fit = tails.fit_tail_exponent(row, side, tail_fraction)
+            except tails.TailFitError as exc:
+                record[side] = None
+                record.setdefault("skipped", {})[side] = str(exc)
+                continue
             record[side] = {
                 "alpha": fit.alpha,
                 "tail_fraction": fit.tail_fraction,

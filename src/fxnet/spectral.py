@@ -7,7 +7,7 @@ import contextlib
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,8 +107,6 @@ def _one_blas_thread():
 
 def _shuffle_rows(r: np.ndarray, seed: int) -> None:
     """Permute each row of `r` in place with its own stream of (seed, row index)."""
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
     for i, row in enumerate(r):
         np.random.default_rng([seed, i]).shuffle(row)
 
@@ -133,8 +131,8 @@ def correlation_matrix(rp: ReturnPanel) -> CorrelationMatrix:
 
 
 def surrogate_correlation(rp: ReturnPanel, seed: int, buf: np.ndarray) -> CorrelationMatrix:
-    """`correlation_matrix(shuffle_surrogate(rp, seed))`, computed in `buf`, an
-    array of rp.returns' shape that is overwritten, so that a caller running
+    """C of rp's rows each shuffled in time by `_shuffle_rows(·, seed)`, in `buf`,
+    an array of rp.returns' shape that is overwritten, so that a caller running
     many surrogates needs one such array instead of two per surrogate."""
     np.copyto(buf, rp.returns)
     _shuffle_rows(buf, seed)
@@ -181,18 +179,6 @@ def normal_ks_statistic(sample: np.ndarray) -> float:
     d_plus = np.max(np.arange(1.0, n + 1) / n - phi)
     d_minus = np.max(phi - np.arange(0.0, n) / n)
     return float(max(d_plus, d_minus))
-
-
-def shuffle_surrogate(rp: ReturnPanel, seed: int) -> ReturnPanel:
-    """Independently permute each return row in time (seeded, reproducible).
-
-    Each row gets its own stream derived from (seed, row index), so the
-    output is identical for identical seeds regardless of row evaluation
-    order.
-    """
-    shuffled = np.array(rp.returns)
-    _shuffle_rows(shuffled, seed)
-    return replace(rp, returns=_freeze(shuffled))
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:

@@ -39,7 +39,7 @@ from fxnet.spectral import (
     derive_seeds,
     eigendecompose,
     rmt_bounds,
-    shuffle_surrogate,
+    surrogate_correlation,
 )
 from fxnet.tails import fit_tail_exponent, hill_estimate
 from oracles import (
@@ -80,9 +80,9 @@ def test_criterion_2_surrogate_bulk(capfd):
     hi = bounds.lambda_max + 0.05
     eigenvalues = []
     pooled = []
+    buf = np.empty(rp.returns.shape)
     for seed in derive_seeds(2012, 10):
-        surrogate = shuffle_surrogate(rp, seed)
-        sd = eigendecompose(correlation_matrix(surrogate))
+        sd = eigendecompose(surrogate_correlation(rp, seed, buf))
         eigenvalues.append(sd.eigenvalues)
         lam = sd.eigenvalues
         pooled.append(sd.eigenvectors[(lam >= lo) & (lam <= hi)].ravel())
@@ -264,27 +264,21 @@ def _run_in_fresh_interpreter(threads, prices, meta, out_dir):
     return snapshot_tree(out_dir)
 
 
-def test_determinism_with_two_blas_threads(tmp_path):
-    # two runs at two BLAS threads, at which an unpinned BLAS splits its work at 150 x 750
-    prices, meta, _ = planted_price_files(tmp_path, n=150, t=750, group_size=40)
-    trees = [_run_in_fresh_interpreter("2", prices, meta, str(tmp_path / f"out{k}"))
-             for k in range(2)]
-    assert trees[0] and trees[0] == trees[1]
-
-
 def test_same_bytes_at_any_blas_thread_count_and_any_paths(tmp_path):
-    # each run reads its own copy of the inputs and writes its own out_dir
+    # each run reads its own copy of the inputs and writes its own out_dir; at
+    # 150 x 750 an unpinned BLAS splits its work at two threads, so two runs
+    # there must also agree with each other
     prices, meta, _ = planted_price_files(tmp_path, n=150, t=750, group_size=40)
     trees = []
-    for threads in ("1", "2"):
-        run_dir = tmp_path / f"threads{threads}"
+    for k, threads in enumerate(("1", "2", "2")):
+        run_dir = tmp_path / f"run{k}"
         run_dir.mkdir()
         shutil.copy(prices, run_dir / "prices.csv")
         shutil.copy(meta, run_dir / "meta.csv")
         trees.append(_run_in_fresh_interpreter(
             threads, str(run_dir / "prices.csv"), str(run_dir / "meta.csv"),
             str(run_dir / "out")))
-    assert trees[0] and trees[0] == trees[1]
+    assert trees[0] and trees[0] == trees[1] == trees[2]
 
 
 def test_one_changed_price_byte_changes_the_recorded_digest(tmp_path):

@@ -26,7 +26,7 @@ from conftest import (
     planted_price_files,
     synthetic_price_files,
 )
-from fxnet import report, spectral
+from fxnet import market_data, report, spectral
 from fxnet.cli import main as cli_main
 from fxnet.market_data import ReturnPanel
 from fxnet.modes import ModeDecomposition
@@ -628,6 +628,57 @@ def test_subcommand_failure_names_its_stage(tmp_path, capsys, argv, damage, stag
     assert not os.path.exists(tmp_path / "out")
 
 
+def _short_or_pegged_files(tmp_path, n_dates, pegged):
+    """10 random-walk assets over n_dates dates. With `pegged`, C00 is a hard
+    peg: 3.75 or 3.76, switching every 250 dates, so all but four of its
+    returns are exactly 0."""
+    prices, meta = synthetic_price_files(tmp_path, n_assets=10, n_dates=n_dates)
+    if pegged:
+        path = pathlib.Path(prices)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        rows = [row.split(",") for row in rows]
+        for k, row in enumerate(rows):
+            row[1] = "3.76" if k // 250 % 2 else "3.75"
+        path.write_text("\n".join([header, *map(",".join, rows)]) + "\n", encoding="utf-8")
+    return prices, meta
+
+
+_TOO_SHORT = {side: "need at least 100 samples, got 60" for side in ("positive", "negative")}
+_PEGGED = {side: f"non-positive tail threshold on side '{side}'"
+           for side in ("positive", "negative")}
+
+
+@pytest.mark.parametrize(
+    "n_dates, pegged, skipped, first",
+    [
+        (61, False, {f"C{i:02d}": _TOO_SHORT for i in range(10)}, _TOO_SHORT["positive"]),
+        (1001, True, {"C00": _PEGGED}, _PEGGED["positive"]),
+    ],
+    ids=["10x61", "10x1001-pegged"],
+)
+def test_a_tail_that_cannot_be_fitted_is_skipped_by_report_but_fails_tails(
+        tmp_path, capsys, n_dates, pegged, skipped, first):
+    prices, meta = _short_or_pegged_files(tmp_path, n_dates, pegged)
+    io_args = ["--prices", prices, "--metadata", meta]
+    out = tmp_path / "report"
+    assert cli_main(["report", *io_args, "--out-dir", str(out), "--surrogates", "1"]) == 0
+    payload = read_json_report(out / "report.json")
+    assert len(payload["spectrum"]["eigenvalues"]) == 10
+    for name in ("spectrum.csv", "mst.net", "mst.json", "threshold.net", "threshold.json"):
+        assert (out / name).is_file(), name
+    assert len(os.listdir(out / "ccdf")) == 20
+    for record in payload["tail_fits"]:
+        reasons = skipped.get(record["code"], {})
+        assert record.get("skipped") == (reasons or None)
+        for side in ("positive", "negative"):
+            assert (record[side] is None) == (side in reasons)
+    capsys.readouterr()
+    out = tmp_path / "tails"
+    assert cli_main(["tails", *io_args, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error [tails]: {first}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -844,6 +895,24 @@ def test_byte_order_mark_reads_as_the_plain_table(tmp_path, marked):
             data = fh.read()
         with open(path, "wb") as fh:
             fh.write(codecs.BOM_UTF8 + data)
+    panel = read_panel(prices, meta, 5)
+    assert (panel.assets, panel.dates) == (plain.assets, plain.dates)
+    assert np.array_equal(panel.prices, plain.prices)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+def test_files_with_other_line_ends_are_read_by_numpy(tmp_path, monkeypatch, newline):
+    """`read_panel` turns every line end into `\\n`, so the numpy reader, which
+    declines any `\\r`, reads these files too."""
+    prices, meta = synthetic_price_files(tmp_path)
+    plain = read_panel(prices, meta, 5)
+    for path in map(pathlib.Path, (prices, meta)):
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+
+    def per_cell(*args):
+        raise AssertionError("the per-cell loop was asked to read the prices")
+
+    monkeypatch.setattr(market_data, "_read_prices_per_cell", per_cell)
     panel = read_panel(prices, meta, 5)
     assert (panel.assets, panel.dates) == (plain.assets, plain.dates)
     assert np.array_equal(panel.prices, plain.prices)
