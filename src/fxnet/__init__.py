@@ -11,7 +11,6 @@ from .market_data import (
 )
 from .tails import TailFit, TailFitError, fit_tail_exponent, hill_estimate
 from .spectral import (
-    CorrelationMatrix,
     RmtBounds,
     SpectralDecomposition,
     correlation_matrix,

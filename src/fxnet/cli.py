@@ -44,10 +44,10 @@ def _returns(cfg):
 
 def _split(cfg):
     rp = _returns(cfg)
-    cm = report.correlate(rp)
-    sd, bounds = report.spectrum(cm, rp.n_steps)
+    c = report.correlate(rp)
+    sd, bounds = report.spectrum(c, rp.n_steps)
     md, _ = report.decompose(sd, bounds, cfg.n_g)
-    return rp, cm, md
+    return rp, c, md
 
 
 def cmd_ingest(cfg) -> None:
@@ -86,10 +86,10 @@ def cmd_tails(cfg) -> None:
 def cmd_spectrum(cfg) -> None:
     """correlation spectrum and RMT bounds"""
     rp = _returns(cfg)
-    cm = report.correlate(rp)
-    sd, bounds = report.spectrum(cm, rp.n_steps)
+    c = report.correlate(rp)
+    sd, bounds = report.spectrum(c, rp.n_steps)
     report.write_files(cfg.out_dir, itertools.chain(
-        report.spectrum_files(rp.assets, cm, sd),
+        report.spectrum_files(rp.assets, c, sd),
         report.json_file("rmt_bounds.json", {"rmt": dataclasses.asdict(bounds)}),
     ))
     print(f"leading eigenvalue {sd.eigenvalues[0]:.6g}, "
@@ -98,8 +98,8 @@ def cmd_spectrum(cfg) -> None:
 
 def cmd_decompose(cfg) -> None:
     """global/group/random mode decomposition"""
-    rp, cm, md = _split(cfg)
-    hists = report.histograms(cm, md)
+    rp, c, md = _split(cfg)
+    hists = report.histograms(c, md)
     report.write_files(cfg.out_dir, report.modes_files(rp.assets, md, hists))
     print(f"decomposed with n_g={md.n_g}")
 

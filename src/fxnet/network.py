@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market_data import AssetMeta
-from .spectral import CorrelationMatrix
 
 CLAMP_TOL = 1e-9
 DEFAULT_HUB_SIGMA = 2.0
@@ -88,9 +87,11 @@ def _components(n: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], 
     return tuple(sorted(map(tuple, groups.values()), key=lambda c: (-len(c), c[0])))
 
 
-def mantegna_distance(c: CorrelationMatrix | np.ndarray) -> np.ndarray:
+def mantegna_distance(c: np.ndarray) -> np.ndarray:
     """d_ij = sqrt(2 (1 - C_ij)); zero diagonal, range [0, 2]."""
-    vals = c.values if isinstance(c, CorrelationMatrix) else np.asarray(c, dtype=float)
+    vals = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("correlation matrix contains non-finite entries")
     if vals.min() < -1 - CLAMP_TOL or vals.max() > 1 + CLAMP_TOL:
         raise ValueError("correlation entries outside [-1, 1] beyond tolerance")
     clamped = np.clip(vals, -1.0, 1.0)

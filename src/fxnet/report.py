@@ -25,7 +25,7 @@ from . import market_data, modes, network, spectral, tails
 from .market_data import AssetMeta, PricePanel, ReturnPanel
 from .modes import ModeDecomposition
 from .network import ClusterReport, Graph, SweepResult
-from .spectral import CorrelationMatrix, RmtBounds, SpectralDecomposition
+from .spectral import RmtBounds, SpectralDecomposition
 
 SCHEMA_VERSION = 1
 BULK_MARGIN = 0.05
@@ -222,13 +222,13 @@ def ccdf_files(rp: ReturnPanel, template: str) -> Files:
 
 
 def spectrum_files(
-    assets: tuple[AssetMeta, ...], cm: CorrelationMatrix, sd: SpectralDecomposition
+    assets: tuple[AssetMeta, ...], c: np.ndarray, sd: SpectralDecomposition
 ) -> Files:
     codes = [a.code for a in assets]
     yield "spectrum.csv", _csv(["index", "eigenvalue"], enumerate(sd.eigenvalues.tolist()))
     yield "eigenvectors.csv", _csv(["index", *codes], [
         (j, *u) for j, u in enumerate(sd.eigenvectors.tolist())])
-    yield "correlation.csv", export_matrix_csv(cm.values, assets, codes)
+    yield "correlation.csv", export_matrix_csv(c, assets, codes)
 
 
 def modes_files(
@@ -363,13 +363,13 @@ def fit_tails(rp: ReturnPanel, tail_fraction: float) -> list[dict[str, Any]]:
 
 
 @_stage("correlation")
-def correlate(rp: ReturnPanel) -> CorrelationMatrix:
+def correlate(rp: ReturnPanel) -> np.ndarray:
     return spectral.correlation_matrix(rp)
 
 
 @_stage("spectrum")
-def spectrum(cm: CorrelationMatrix, n_steps: int) -> tuple[SpectralDecomposition, RmtBounds]:
-    return spectral.eigendecompose(cm), spectral.rmt_bounds(cm.size, n_steps)
+def spectrum(c: np.ndarray, n_steps: int) -> tuple[SpectralDecomposition, RmtBounds]:
+    return spectral.eigendecompose(c), spectral.rmt_bounds(c.shape[0], n_steps)
 
 
 def _usable_cpus() -> int:
@@ -393,6 +393,9 @@ def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -
         return {"count": 0, "seed": seed}
     lo = bounds.lambda_min - BULK_MARGIN
     hi = bounds.lambda_max + BULK_MARGIN
+    # a surrogate's centred rows span min(N, T - 1) dimensions; for T <= N the
+    # rest of its spectrum is the null space's zeros, no part of the bulk
+    rank = min(rp.n_assets, rp.n_steps - 1)
     seeds = spectral.derive_seeds(seed, count)
     n_workers = min(count, _usable_cpus())
     # surrogate k -> (its eigenvalues, the components of its bulk eigenvectors)
@@ -410,8 +413,8 @@ def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -
                 if errors:
                     return
                 ssd = spectral.eigendecompose(spectral.surrogate_correlation(rp, seeds[k], buf))
-                lam = ssd.eigenvalues
-                results[k] = lam, ssd.eigenvectors[(lam >= lo) & (lam <= hi)].ravel()
+                lam = ssd.eigenvalues[:rank]
+                results[k] = lam, ssd.eigenvectors[:rank][(lam >= lo) & (lam <= hi)].ravel()
         except Exception as exc:
             errors.append(exc)
 
@@ -454,17 +457,15 @@ def decompose(
     return modes.decompose_modes(sd, n_g_used), n_g_auto
 
 
-def _parts(cm: CorrelationMatrix, md: ModeDecomposition) -> dict[str, np.ndarray]:
-    return {"full": cm.values, "global": md.c_global, "group": md.c_group, "random": md.c_random}
+def _parts(c: np.ndarray, md: ModeDecomposition) -> dict[str, np.ndarray]:
+    return {"full": c, "global": md.c_global, "group": md.c_group, "random": md.c_random}
 
 
 @_stage("decomposition")
-def histograms(
-    cm: CorrelationMatrix, md: ModeDecomposition
-) -> dict[str, list[tuple[float, float]]]:
+def histograms(c: np.ndarray, md: ModeDecomposition) -> dict[str, list[tuple[float, float]]]:
     """Element histograms of C and of each of its three parts."""
     return {
-        name: modes.element_histogram(m, HISTOGRAM_BINS) for name, m in _parts(cm, md).items()
+        name: modes.element_histogram(m, HISTOGRAM_BINS) for name, m in _parts(c, md).items()
     }
 
 
@@ -481,9 +482,9 @@ def default_threshold_grid(c_group: np.ndarray) -> np.ndarray:
 
 @_stage("network")
 def build_mst(
-    cm: CorrelationMatrix, assets: tuple[AssetMeta, ...], hub_sigma: float
+    c: np.ndarray, assets: tuple[AssetMeta, ...], hub_sigma: float
 ) -> tuple[Graph, ClusterReport]:
-    mst = network.minimum_spanning_tree(network.mantegna_distance(cm), assets)
+    mst = network.minimum_spanning_tree(network.mantegna_distance(c), assets)
     return mst, network.cluster_report(mst, hub_sigma)
 
 
@@ -585,12 +586,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     panel = read_panel(cfg.prices_path, cfg.metadata_path, cfg.fill_limit, inputs)
     rp = panel_returns(panel, cfg.delta)
     tail_fits = fit_tails(rp, cfg.tail_fraction)
-    cm = correlate(rp)
-    sd, bounds = spectrum(cm, rp.n_steps)
+    c = correlate(rp)
+    sd, bounds = spectrum(c, rp.n_steps)
     surrogate_summary = surrogate_stats(rp, bounds, cfg.seed, cfg.surrogates)
     md, n_g_auto = decompose(sd, bounds, cfg.n_g)
-    hists = histograms(cm, md)
-    mst, mst_report = build_mst(cm, rp.assets, cfg.hub_sigma)
+    hists = histograms(c, md)
+    mst, mst_report = build_mst(c, rp.assets, cfg.hub_sigma)
     tnet, tnet_report, sweep, c_th_used = build_threshold(
         md.c_group, rp.assets, cfg.c_th, cfg.hub_sigma
     )
@@ -629,7 +630,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
         "modes": {
             "n_g_used": md.n_g,
             "n_g_auto": n_g_auto,
-            "element_stats": {k: _element_stats(v) for k, v in _parts(cm, md).items()},
+            "element_stats": {k: _element_stats(v) for k, v in _parts(c, md).items()},
         },
         "graphs": {
             "mst": _cluster_summary(mst_report, mst),
@@ -642,7 +643,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     }
     write_files(cfg.out_dir, itertools.chain(
         json_file("report.json", payload),
-        spectrum_files(rp.assets, cm, sd),
+        spectrum_files(rp.assets, c, sd),
         modes_files(rp.assets, md, hists),
         graph_files(mst),
         graph_files(tnet, sweep),

@@ -24,28 +24,6 @@ _BLAS_THREAD_SYMBOLS = (
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
-    values: np.ndarray  # N x N
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    def validate(self) -> None:
-        c = self.values
-        n = self.size
-        if c.shape != (n, n):
-            raise ValueError(f"correlation matrix must be square, got {c.shape}")
-        asym = float(np.abs(c - c.T).max())
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"matrix asymmetry {asym:g} exceeds {SYMMETRY_TOL:g}")
-        if np.abs(np.diag(c) - 1.0).max() > SYMMETRY_TOL:
-            raise ValueError("diagonal deviates from 1")
-        if c.min() < -1 - SYMMETRY_TOL or c.max() > 1 + SYMMETRY_TOL:
-            raise ValueError("entries fall outside [-1, 1]")
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues in descending order; row j of `eigenvectors` is u_j, scaled
     so that sum_i u_ji^2 = N."""
@@ -111,7 +89,23 @@ def _shuffle_rows(r: np.ndarray, seed: int) -> None:
         np.random.default_rng([seed, i]).shuffle(row)
 
 
-def _correlation_of(buf: np.ndarray) -> CorrelationMatrix:
+def _check_correlation(c: np.ndarray) -> None:
+    """Raise ValueError unless c is a finite correlation matrix."""
+    n = c.shape[0]
+    if c.shape != (n, n):
+        raise ValueError(f"correlation matrix must be square, got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("correlation matrix contains non-finite entries")
+    asym = float(np.abs(c - c.T).max())
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"matrix asymmetry {asym:g} exceeds {SYMMETRY_TOL:g}")
+    if np.abs(np.diag(c) - 1.0).max() > SYMMETRY_TOL:
+        raise ValueError("diagonal deviates from 1")
+    if c.min() < -1 - SYMMETRY_TOL or c.max() > 1 + SYMMETRY_TOL:
+        raise ValueError("entries fall outside [-1, 1]")
+
+
+def _correlation_of(buf: np.ndarray) -> np.ndarray:
     """C of the rows of `buf` (1/T convention), which are centred in place."""
     t = buf.shape[1]
     if t < 2:
@@ -120,17 +114,16 @@ def _correlation_of(buf: np.ndarray) -> CorrelationMatrix:
     c = buf @ buf.T / t
     c = (c + c.T) / 2.0
     np.fill_diagonal(c, 1.0)
-    cm = CorrelationMatrix(values=_freeze(c))
-    cm.validate()
-    return cm
+    _check_correlation(c)
+    return _freeze(c)
 
 
-def correlation_matrix(rp: ReturnPanel) -> CorrelationMatrix:
+def correlation_matrix(rp: ReturnPanel) -> np.ndarray:
     """Pairwise correlations C_ij of the normalized return rows (1/T convention)."""
     return _correlation_of(np.array(rp.returns))
 
 
-def surrogate_correlation(rp: ReturnPanel, seed: int, buf: np.ndarray) -> CorrelationMatrix:
+def surrogate_correlation(rp: ReturnPanel, seed: int, buf: np.ndarray) -> np.ndarray:
     """C of rp's rows each shuffled in time by `_shuffle_rows(·, seed)`, in `buf`,
     an array of rp.returns' shape that is overwritten, so that a caller running
     many surrogates needs one such array instead of two per surrogate."""
@@ -139,16 +132,17 @@ def surrogate_correlation(rp: ReturnPanel, seed: int, buf: np.ndarray) -> Correl
     return _correlation_of(buf)
 
 
-def eigendecompose(cm: CorrelationMatrix) -> SpectralDecomposition:
+def eigendecompose(c: np.ndarray) -> SpectralDecomposition:
     """LAPACK symmetric eigendecomposition with a fixed ordering and sign convention.
 
     Eigenvalues are sorted descending by a stable sort, so equal eigenvalues
     keep LAPACK's order; each eigenvector is flipped so that its
     largest-magnitude component is positive, then scaled to sum_i u_ji^2 = N.
     """
-    cm.validate()
-    n = cm.size
-    vals, v = np.linalg.eigh(cm.values)
+    c = np.asarray(c, dtype=float)
+    _check_correlation(c)
+    n = c.shape[0]
+    vals, v = np.linalg.eigh(c)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = v[:, order].T  # row per eigenvector
@@ -161,9 +155,9 @@ def eigendecompose(cm: CorrelationMatrix) -> SpectralDecomposition:
 
 def rmt_bounds(n: int, t: int) -> RmtBounds:
     """Support bounds (1 -/+ 1/sqrt(Q))^2 of the random (Wishart) eigenvalue
-    spectrum at Q = T/N."""
-    if n < 2 or t < n:
-        raise ValueError(f"require t >= n >= 2 (Q >= 1), got n={n}, t={t}")
+    spectrum at Q = T/N; for Q < 1 they bound the nonzero eigenvalues."""
+    if n < 2 or t < 2:
+        raise ValueError(f"require n >= 2 and t >= 2, got n={n}, t={t}")
     q = t / n
     return RmtBounds(q, (1.0 - 1.0 / math.sqrt(q)) ** 2, (1.0 + 1.0 / math.sqrt(q)) ** 2)
 

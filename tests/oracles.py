@@ -183,6 +183,19 @@ def surrogate_spectra_loop(returns, master_seed, count):
     return spectra
 
 
+def dual_nonzero_eigenvalues(returns):
+    """The nonzero eigenvalues, descending, of C = X X^T / T for the N x T
+    rows X of `returns` less their means, read off the T x T dual matrix
+    X^T X / T, which has the same nonzero eigenvalues. Its rows sum to 0, so
+    X has rank at most T - 1: the smallest dual eigenvalue, that of the
+    all-ones vector, is dropped, and so are any beyond the N largest."""
+    x = np.asarray(returns, dtype=float)
+    n, t = x.shape
+    x = x - x.mean(axis=1, keepdims=True)
+    vals = np.linalg.eigvalsh(x.T @ x / t)[::-1]
+    return vals[:min(n, t - 1)]
+
+
 def kruskal_mst_tuples(d):
     """Minimum spanning tree edges (i, j, d[i, j]) in the order Kruskal takes
     them from a sorted list of (d[i, j], i, j) tuples over every pair i < j,

@@ -104,11 +104,11 @@ def test_criterion_3_eigensolver_oracle(capfd):
         # well-conditioned
         cm = correlation_matrix(normalized_noise_panel(rng, n, 40))
         sd = eigendecompose(cm)
-        oracle = charpoly_eigenvalues(cm.values)
+        oracle = charpoly_eigenvalues(cm)
         recon = (sd.eigenvectors.T * (sd.eigenvalues / n)) @ sd.eigenvectors
         checks = (
             np.abs(sd.eigenvalues - oracle).max() < 1e-8,
-            np.abs(recon - cm.values).max() < 1e-8,
+            np.abs(recon - cm).max() < 1e-8,
             np.abs((sd.eigenvectors ** 2).sum(axis=1) - n).max() < 1e-9,
         )
         if not all(checks):
@@ -131,7 +131,7 @@ def test_criterion_4_decomposition_identity(capfd):
             total = md.c_global + md.c_group + md.c_random
             singular = np.linalg.svd(md.c_global, compute_uv=False)
             checks = (
-                np.abs(total - cm.values).max() < 1e-8,
+                np.abs(total - cm).max() < 1e-8,
                 singular[1] < 1e-8 * singular[0],
             )
             if not all(checks):

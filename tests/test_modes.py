@@ -44,7 +44,7 @@ class TestDecomposeModes:
         for n_g in range(8):
             md = decompose_modes(sd, n_g)
             total = md.c_global + md.c_group + md.c_random
-            assert np.abs(total - cm.values).max() < 1e-8
+            assert np.abs(total - cm).max() < 1e-8
 
     def test_global_is_rank_one(self, rng):
         _, sd = spectrum_of(rng, 8)

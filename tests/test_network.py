@@ -77,6 +77,11 @@ class TestMantegnaDistance:
         with pytest.raises(ValueError):
             mantegna_distance(c)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            mantegna_distance(np.array([[1.0, bad], [bad, 1.0]]))
+
     def test_slight_excursion_clamped(self):
         c = np.array([[1.0, 1.0 + 5e-10], [1.0 + 5e-10, 1.0]])
         assert mantegna_distance(c)[0, 1] == 0.0

@@ -334,11 +334,16 @@ class TestSurrogateStage:
 
     @staticmethod
     def expected(rp, bounds, seed, count):
+        """The oracle's summary over each surrogate's min(N, T - 1) largest
+        eigenpairs: its centred rows span no more, and the rest of its
+        spectrum is the null space's zeros."""
         if count == 0:
             return {"count": 0, "seed": seed}
         lo = bounds.lambda_min - report.BULK_MARGIN
         hi = bounds.lambda_max + report.BULK_MARGIN
-        spectra = surrogate_spectra_loop(rp.returns, seed, count)
+        rank = min(rp.returns.shape[0], rp.returns.shape[1] - 1)
+        spectra = [(lam[:rank], vecs[:rank])
+                   for lam, vecs in surrogate_spectra_loop(rp.returns, seed, count)]
         vals = np.concatenate([lam for lam, _ in spectra])
         pooled = np.concatenate([vecs[(lam >= lo) & (lam <= hi)].ravel() for lam, vecs in spectra])
         return {
@@ -368,6 +373,16 @@ class TestSurrogateStage:
         got = report.surrogate_stats(rp, bounds, self.SEED, count)
         assert got == self.expected(rp, bounds, self.SEED, count)
         assert len(threads) == min(cpus, count)
+
+    @pytest.mark.parametrize("n, t", [(20, 12), (12, 12)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_leaves_out_the_null_space_of_a_panel_with_t_at_most_n(self, monkeypatch, cpus, n, t):
+        rp = normalized_noise_panel(np.random.default_rng(78), n, t)
+        bounds = spectral.rmt_bounds(n, t)
+        monkeypatch.setattr(report, "_usable_cpus", lambda: cpus)
+        got = report.surrogate_stats(rp, bounds, self.SEED, 3)
+        assert got == self.expected(rp, bounds, self.SEED, 3)
+        assert got["eigenvalue_min"] > 1e-3  # no zero of the N - T + 1
 
     def test_more_workers_than_cpus_switching_every_microsecond(self, panel, monkeypatch):
         rp, bounds = panel
@@ -679,6 +694,23 @@ def test_a_tail_that_cannot_be_fitted_is_skipped_by_report_but_fails_tails(
     assert not out.exists()
 
 
+def test_a_panel_with_fewer_dates_than_assets_runs_report_to_the_end(tmp_path):
+    # 200 assets x 150 dates: T = 149 returns, Q = T/N < 1
+    prices, meta = synthetic_price_files(tmp_path, n_assets=200, n_dates=150)
+    out = tmp_path / "report"
+    assert cli_main(["report", "--prices", prices, "--metadata", meta,
+                     "--out-dir", str(out), "--surrogates", "3"]) == 0
+    payload = read_json_report(out / "report.json")
+    lam = payload["spectrum"]["eigenvalues"]
+    assert len(lam) == 200 and max(map(abs, lam[149:])) < 1e-10
+    assert payload["spectrum"]["rmt"]["q"] == 149 / 200
+    assert payload["surrogates"]["eigenvalue_min"] > 1e-3
+    for name in ("spectrum.csv", "eigenvectors.csv", "correlation.csv",
+                 "mst.net", "mst.json", "threshold.net", "threshold.json"):
+        assert (out / name).is_file(), name
+    assert payload["graphs"]["mst"]["n_edges"] == 199
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -828,7 +860,7 @@ def test_every_csv_equals_the_csv_module_text_of_its_rows(rng):
         "spectrum.csv": csv_text(["index", "eigenvalue"], enumerate(sd.eigenvalues.tolist())),
         "eigenvectors.csv": csv_text(["index", *codes],
                                      [(j, *u) for j, u in enumerate(sd.eigenvectors.tolist())]),
-        "correlation.csv": csv_text(["code", *codes], by_code(cm.values)),
+        "correlation.csv": csv_text(["code", *codes], by_code(cm)),
         **{f"c_{part}.csv": csv_text(["code", *codes], by_code(getattr(md, f"c_{part}")))
            for part in ("global", "group", "random")},
         "histograms.csv": csv_text(["bin_center", "density", "component"],
@@ -937,8 +969,9 @@ def test_csv_numbers_keep_12_significant_digits(values):
 
 
 def test_importing_fxnet_loads_no_scipy():
+    """Neither scipy nor hashlib, which only `report` uses, to digest its inputs."""
     code = ("import sys, fxnet, fxnet.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout

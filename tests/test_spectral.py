@@ -7,7 +7,6 @@ from scipy import stats
 
 from conftest import normalized_noise_panel, panel_from_returns, planted_group_panel
 from fxnet.spectral import (
-    CorrelationMatrix,
     _shuffle_rows,
     correlation_matrix,
     derive_seeds,
@@ -16,7 +15,12 @@ from fxnet.spectral import (
     rmt_bounds,
     surrogate_correlation,
 )
-from oracles import charpoly_eigenvalues, jacobi_eigh, shuffle_surrogate_gather
+from oracles import (
+    charpoly_eigenvalues,
+    dual_nonzero_eigenvalues,
+    jacobi_eigh,
+    shuffle_surrogate_gather,
+)
 
 
 def random_correlation(rng, n, t=400):
@@ -28,36 +32,50 @@ class TestCorrelationMatrix:
     def test_identical_rows(self):
         rp = panel_from_returns([[1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
         c = correlation_matrix(rp)
-        assert np.allclose(c.values, [[1.0, 1.0], [1.0, 1.0]], atol=1e-12)
+        assert np.allclose(c, [[1.0, 1.0], [1.0, 1.0]], atol=1e-12)
 
     def test_orthogonal_rows(self):
         rp = panel_from_returns([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
         c = correlation_matrix(rp)
-        assert c.values[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert c[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_anticorrelated_rows(self):
         rp = panel_from_returns([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
         c = correlation_matrix(rp)
-        assert c.values[0, 1] == pytest.approx(-1.0, abs=1e-12)
+        assert c[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_invariants(self, rng):
-        c = random_correlation(rng, 8).values
+        c = random_correlation(rng, 8)
         assert np.abs(c - c.T).max() < 1e-12
         assert np.abs(np.diag(c) - 1.0).max() < 1e-12
         assert c.min() >= -1 - 1e-12 and c.max() <= 1 + 1e-12
         assert np.trace(c) == pytest.approx(8.0, abs=1e-12)
 
+    def test_read_only_and_not_aliased(self, rng):
+        rp = normalized_noise_panel(rng, 6, 50)
+        c = correlation_matrix(rp)
+        assert not c.flags.writeable
+        assert not np.shares_memory(c, rp.returns)
+        buf = np.empty(rp.returns.shape)
+        s = surrogate_correlation(rp, 11, buf)
+        assert not s.flags.writeable
+        assert not np.shares_memory(s, rp.returns) and not np.shares_memory(s, buf)
+        # the surrogate stage reuses buf for its next surrogate
+        kept = s.copy()
+        buf[...] = 7.0
+        assert np.array_equal(s, kept)
+
 
 class TestEigendecompose:
     def test_two_by_two_analytic(self):
         for coupling in (0.3, -0.6, 0.95):
-            cm = CorrelationMatrix(np.array([[1.0, coupling], [coupling, 1.0]]))
+            cm = np.array([[1.0, coupling], [coupling, 1.0]])
             sd = eigendecompose(cm)
             expected = sorted([1 + coupling, 1 - coupling], reverse=True)
             assert sd.eigenvalues == pytest.approx(expected, abs=1e-12)
 
     def test_identity_degenerate(self):
-        cm = CorrelationMatrix(np.eye(5))
+        cm = np.eye(5)
         sd = eigendecompose(cm)
         assert sd.eigenvalues == pytest.approx([1.0] * 5, abs=1e-12)
         assert np.allclose((sd.eigenvectors ** 2).sum(axis=1), 5.0, atol=1e-9)
@@ -68,7 +86,7 @@ class TestEigendecompose:
         for _ in range(10):
             cm = random_correlation(rng, 6, t=40)
             sd = eigendecompose(cm)
-            oracle = charpoly_eigenvalues(cm.values)
+            oracle = charpoly_eigenvalues(cm)
             assert np.abs(sd.eigenvalues - oracle).max() < 1e-8
 
     def test_near_degenerate_spectrum_is_descending(self):
@@ -77,9 +95,31 @@ class TestEigendecompose:
         c = np.zeros((4, 4))
         c[:2, :2] = [[1.0, 0.5 + 1e-12], [0.5 + 1e-12, 1.0]]
         c[2:, 2:] = [[1.0, 0.5], [0.5, 1.0]]
-        lam = eigendecompose(CorrelationMatrix(c)).eigenvalues
+        lam = eigendecompose(c).eigenvalues
         assert np.all(np.diff(lam) <= 0), lam
         assert lam == pytest.approx([1.5, 1.5, 0.5, 0.5], abs=1e-11)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            eigendecompose(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_fewer_steps_than_assets_matches_the_dual_matrix(self):
+        # 200 assets x 150 steps: the centred rows have rank 149, so C has
+        # 149 nonzero eigenvalues, those of the 150 x 150 dual matrix, and
+        # 51 zeros
+        rp = normalized_noise_panel(np.random.default_rng(2002), 200, 150)
+        lam = eigendecompose(correlation_matrix(rp)).eigenvalues
+        dual = dual_nonzero_eigenvalues(rp.returns)
+        assert dual.size == 149
+        assert np.abs(lam[:149] - dual).max() < 1e-10
+        assert np.abs(lam[149:]).max() < 1e-10
+        # the Q = 3/4 edges hold the nonzero spectrum up to a finite-N margin
+        # of 10 % of the upper edge
+        b = rmt_bounds(200, 150)
+        margin = 0.1 * b.lambda_max
+        assert abs(dual[0] - b.lambda_max) <= margin
+        assert abs(dual[-1] - b.lambda_min) <= margin
 
     def test_normalization_and_reconstruction(self, rng):
         cm = random_correlation(rng, 12)
@@ -87,7 +127,7 @@ class TestEigendecompose:
         n = 12
         assert np.abs((sd.eigenvectors ** 2).sum(axis=1) - n).max() < 1e-9
         recon = (sd.eigenvectors.T * (sd.eigenvalues / n)) @ sd.eigenvectors
-        assert np.abs(recon - cm.values).max() < 1e-8
+        assert np.abs(recon - cm).max() < 1e-8
 
     def test_orthogonality(self, rng):
         cm = random_correlation(rng, 10)
@@ -137,9 +177,8 @@ class TestEigendecompose:
                 rp, _ = planted_group_panel(rng, n=n, t=200, group_size=max(1, n // 3))
             else:
                 rp = normalized_noise_panel(rng, n, 200 if trial % 4 else 3 * n)
-            cm = correlation_matrix(rp)
-            c = cm.values
-            sd = eigendecompose(cm)
+            c = correlation_matrix(rp)
+            sd = eigendecompose(c)
             lam, u = sd.eigenvalues, sd.eigenvectors.T / math.sqrt(n)
             lam_ref, u_ref = jacobi_eigh(c)
             r = np.linalg.norm(c @ u - u * lam, axis=0)
@@ -188,11 +227,17 @@ class TestRmtBounds:
         assert b.lambda_min == pytest.approx(0.25, abs=1e-12)
         assert b.lambda_max == pytest.approx(2.25, abs=1e-12)
 
-    def test_rejects_q_below_one(self):
-        with pytest.raises(ValueError):
-            rmt_bounds(10, 9)
+    def test_q_below_one(self):
+        # Q = 1/4: the edges bound the nonzero eigenvalues
+        b = rmt_bounds(40, 10)
+        assert b.q == 0.25
+        assert (b.lambda_min, b.lambda_max) == (1.0, 9.0)
+
+    def test_rejects_fewer_than_two_assets_or_steps(self):
         with pytest.raises(ValueError):
             rmt_bounds(1, 10)
+        with pytest.raises(ValueError):
+            rmt_bounds(10, 1)
 
 
 # Past |x| ~ 38.5, Phi(x) underflows to 0 or rounds to 1.
@@ -273,7 +318,7 @@ class TestEigenvectorComponentSample:
     mask over the eigenvalues as the surrogate stage does."""
 
     def test_identity_pooled_normalization(self):
-        pooled = eigendecompose(CorrelationMatrix(np.eye(6))).eigenvectors.ravel()
+        pooled = eigendecompose(np.eye(6)).eigenvectors.ravel()
         assert (pooled ** 2).sum() / pooled.size == pytest.approx(1.0, abs=1e-9)
 
     def test_bulk_components_look_normal(self):
