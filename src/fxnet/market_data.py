@@ -16,8 +16,6 @@ MARKET_CLASSES = ("developed", "emerging", "frontier")
 DEFAULT_FILL_LIMIT = 5
 PEG_GUARD_SIGMA = 1e-10
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-# which bytes below "!" str.strip removes; the others are control bytes
-_STRIP_WHITESPACE = np.array([chr(c).isspace() for c in range(ord(" ") + 1)])
 _CHUNK = 1 << 18  # bytes of a price table that the numpy reader scans at once
 
 
@@ -210,20 +208,20 @@ def _read_prices_vectorised(
     raw_table: str, n: int
 ) -> tuple[list[datetime.date], np.ndarray] | None:
     """The dates and the dates x n price matrix (NaN for a blank cell) of a
-    price table, read by numpy's C reader; None unless the table is one that
-    `_read_prices_per_cell` reads to the same result, which then reads it
-    and words any error.
+    price table, read by numpy's C reader; None unless the table is plain:
+    ASCII, without quotes, and with a body (the lines after the header)
+    that holds no `n` or `N` and no byte below `"!"` but the line end
+    `\\n`. `_read_prices_per_cell` reads every other table to the same
+    result and words any error.
 
-    Without quotes or `\\r` every line is one csv row and every comma a
-    delimiter (`report.read_panel` turns every line end into `\\n`). Without
-    `n` or `N` no cell spells nan or inf, and `_blanks_as_nan` writes each
-    empty or whitespace-only cell as `nan`, so a NaN in the matrix is a
-    blank cell. Non-ASCII text, control bytes and a line over the csv field
-    limit decline; underscores and short rows make numpy raise, and long
-    rows fail the comma count. The body is read in chunks of whole lines,
-    so that no mask as long as the table is made.
+    In a plain body every line is one csv row and every comma a delimiter,
+    no cell spells nan or inf, and `_blanks_as_nan` writes each empty cell
+    as `nan`, so a NaN in the matrix is a blank cell. A line over the csv
+    field limit declines; underscores and short rows make numpy raise, and
+    long rows fail the comma count. The body is read in chunks of whole
+    lines, so that no mask as long as the table is made.
     """
-    if '"' in raw_table or "\r" in raw_table or not raw_table.isascii():
+    if '"' in raw_table or not raw_table.isascii():
         return None
     start = raw_table.find("\n") + 1
     if not start or raw_table.find("n", start) >= 0 or raw_table.find("N", start) >= 0:
@@ -244,7 +242,7 @@ def _read_prices_vectorised(
     if not lines or n_commas != n * len(lines):
         return None
     try:
-        dates = [_iso_date(line.partition(",")[0].strip()) for line in lines]
+        dates = [_iso_date(line.partition(",")[0]) for line in lines]
     except ValueError:
         return None
     if any(later <= earlier for earlier, later in zip(dates, dates[1:])):
@@ -261,34 +259,22 @@ def _read_prices_vectorised(
 
 
 def _blanks_as_nan(chunk: str, field_limit: int) -> tuple[str, int] | None:
-    """`chunk`, whole lines of an ASCII price table without `\\r`, with each
-    cell after a comma that is empty or holds only whitespace written as
-    `nan`, and its number of commas; None if it holds a line longer than
-    `field_limit` or a control byte other than whitespace (numpy's reader
-    is not asked to treat `\\x00` as the csv reader does)."""
+    """`chunk`, whole lines of an ASCII price table, with each empty cell
+    after a comma written as `nan`, and its number of commas; None if it
+    holds a line longer than `field_limit` or a byte below `"!"` other than
+    the line end `\\n`."""
     if not chunk.endswith("\n"):
         chunk += "\n"
     b = np.frombuffer(chunk.encode("ascii"), np.uint8)
     comma = b == ord(",")
     newline = b == ord("\n")
     ends = np.flatnonzero(newline)
-    if np.diff(ends, prepend=-1).max() - 1 > field_limit:
+    if (np.count_nonzero(b <= ord(" ")) != len(ends)
+            or np.diff(ends, prepend=-1).max() - 1 > field_limit):
         return None
-    low = b <= ord(" ")
-    if np.count_nonzero(low) == len(ends):
-        # no byte below "!" but line ends: a blank cell is a comma and then
-        # a comma or a line end
-        starts = stops = np.flatnonzero(comma[:-1] & (comma | newline)[1:]) + 1
-    elif _STRIP_WHITESPACE[b[low]].all():
-        seps = np.flatnonzero(comma | newline)
-        # whether [seps[k], seps[k + 1]) holds a byte that is not whitespace
-        filled = np.logical_or.reduceat(~low & ~comma, seps)
-        blank = np.flatnonzero(comma[seps] & ~filled)
-        starts, stops = seps[blank] + 1, seps[blank + 1]
-    else:
-        return None
-    cuts = iter([0, *np.column_stack((starts, stops)).ravel().tolist(), len(chunk)])
-    return "nan".join([chunk[i:j] for i, j in zip(cuts, cuts)]), np.count_nonzero(comma)
+    # a blank cell is a comma and then a comma or a line end
+    cuts = [0, *(np.flatnonzero(comma[:-1] & (comma | newline)[1:]) + 1).tolist(), len(chunk)]
+    return "nan".join([chunk[i:j] for i, j in zip(cuts, cuts[1:])]), np.count_nonzero(comma)
 
 
 def _read_prices_per_cell(

@@ -7,6 +7,7 @@ them in order; the `fxnet` subcommands call the ones their files need.
 from __future__ import annotations
 
 import dataclasses
+import fnmatch
 import functools
 import itertools
 import json
@@ -180,10 +181,10 @@ def export_matrix_csv(m: np.ndarray, assets: tuple[AssetMeta, ...], columns: Ite
 
 
 # ---------------------------------------------------------------------------
-# groups of output files: each yields (path relative to out_dir, text) pairs
-# for write_files, formatting a file only when asked for it
+# groups of output files for write_files: each yields (path relative to out_dir, text)
+# pairs, formatting a file only when asked for it, and (pattern, None) for names it owns
 
-Files = Iterator[tuple[str, str]]
+Files = Iterator[tuple[str, str | None]]
 
 
 def json_file(rel: str, payload: dict[str, Any]) -> Files:
@@ -207,6 +208,7 @@ def ccdf_files(rp: ReturnPanel, template: str) -> Files:
     printed once, for each count k < n."""
     n = rp.n_steps
     column = np.array([",%.12g\n" % (k / n) for k in range(n)], dtype=object)
+    yield template.format("*"), None
     for meta, row in zip(rp.assets, rp.returns):
         values, greater, less = tails.survival_counts(row)
         neg = np.searchsorted(values, 0.0, "left")  # values[:neg] < 0
@@ -244,13 +246,14 @@ def modes_files(
 
 
 def graph_files(g: Graph, sweep: SweepResult | None = None) -> Files:
-    """`<kind>.net` and `<kind>.json`, plus `sweep.csv` for a swept cutoff."""
+    """`<kind>.net` and `<kind>.json`, and for a threshold network `sweep.csv`, if swept."""
     yield f"{g.kind}.net", export_pajek(g)
     yield f"{g.kind}.json", export_graph_json(g)
-    if sweep is not None:
-        yield "sweep.csv", _csv(["c_th", "n_active", "n_components", "clustered", "sizes"], [
-            (e.c_th, e.n_active, e.n_components, e.clustered, ";".join(map(str, e.sizes)))
-            for e in sweep.entries])
+    if g.kind == "threshold":
+        yield "sweep.csv", None if sweep is None else _csv(
+            ["c_th", "n_active", "n_components", "clustered", "sizes"],
+            [(e.c_th, e.n_active, e.n_components, e.clustered, ";".join(map(str, e.sizes)))
+             for e in sweep.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +507,24 @@ def build_threshold(
 
 
 @_stage("export")
-def write_files(out_dir: str, files: Iterable[tuple[str, str]]) -> None:
-    """Write the text of each (rel, text) pair of `files` to out_dir/rel.
+def write_files(out_dir: str, files: Iterable[tuple[str, str | None]]) -> None:
+    """Write the text of each (rel, text) pair of `files` to out_dir/rel; a
+    (pattern, None) pair claims the files of out_dir whose paths match the
+    fnmatch `pattern`, which has wildcards in its last component only.
 
     Every file is written under a staging directory `.fxnet-*` (inside out_dir
     if it exists, else in its nearest existing ancestor) before any reaches
     out_dir: a new out_dir is renamed into place whole, and an existing one
-    gets each file by os.replace, keeping the files it already holds. On a
-    failure the staging directory goes and out_dir stays as it was; a killed
-    run can leave the staging directory behind.
+    loses each claimed file this run did not write, then gets each new file
+    by os.replace. On an earlier failure the staging directory goes and
+    out_dir stays as it was; a killed run can leave it behind.
     """
     out_dir = os.path.abspath(out_dir)
     base = out_dir
     while not os.path.isdir(base):
         base = os.path.dirname(base)
     tmp = tempfile.mkdtemp(prefix=".fxnet-", dir=base)
+    claims = []  # their paths inside the staging directory
     try:
         stage = os.path.join(tmp, "out")
         os.mkdir(stage)  # not mkdtemp's 0700: a new out_dir keeps the umask's mode
@@ -526,11 +532,19 @@ def write_files(out_dir: str, files: Iterable[tuple[str, str]]) -> None:
             path = os.path.normpath(os.path.join(stage, rel))
             if not path.startswith(stage + os.sep):  # rel comes from asset codes
                 raise ValueError(f"output path {rel!r} leaves the output directory")
+            if text is None:
+                claims.append(path)
+                continue
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
             del text  # hold one file's text at a time, not also while the next is formatted
         if os.path.isdir(out_dir):
+            for folder, pattern in map(os.path.split, claims):
+                old = os.path.join(out_dir, os.path.relpath(folder, stage))
+                for name in fnmatch.filter(os.listdir(old) if os.path.isdir(old) else [], pattern):
+                    if not os.path.exists(os.path.join(folder, name)):
+                        os.remove(os.path.join(old, name))
             for dirpath, _, names in os.walk(stage):
                 dest = os.path.join(out_dir, os.path.relpath(dirpath, stage))
                 os.makedirs(dest, exist_ok=True)

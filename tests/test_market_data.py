@@ -2,6 +2,7 @@ import datetime
 import gc
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -354,12 +355,12 @@ def test_odd_cell_reads_as_in_the_per_cell_loop(cell):
 
 def _gappy_table(n_rows, blank_lines):
     """A table of n_rows dates under CODES whose lines (counted from 0
-    after the header) in blank_lines hold blank cells: an empty one, one of
-    `\\x0c` and spaces, and one of spaces and a tab. Blank lines are as
-    long as the others, so they move no chunk edge."""
+    after the header) in blank_lines hold two empty cells, in BBB and CCC.
+    Their AAA cell is written with trailing zeros, so that blank lines are
+    as long as the others and move no chunk edge."""
     rows = [[f"{1 + k % 9}.25", f"{1 + k % 7}.50", f"{1 + k % 5}.75"] for k in range(n_rows)]
     for k in blank_lines:
-        rows[k] = ["", "\x0c" + " " * 7, " \t  "]
+        rows[k] = [f"{1 + k % 9}.2500000000", "", ""]
     dates = [(datetime.date(2000, 1, 1) + datetime.timedelta(days=k)).isoformat()
              for k in range(n_rows)]
     return price_csv(CODES, dates, rows)
@@ -381,20 +382,49 @@ def _chunk_edge_lines(table):
     "table",
     [simple_table(), simple_table({(1, 0): None}), simple_table({(0, 2): None, (3, 2): None}),
      simple_table({(1, 1): None, (2, 1): None}),
-     simple_table({(1, 0): " 1.5", (2, 2): "2.5e0 ", (3, 1): "\t3"}),
-     simple_table({(1, 0): " "}),
-     # blanks of every kind in a run longer than fill_limit = 2
-     simple_table({(1, 1): " ", (2, 1): "\t\x0b ", (3, 1): "\x1f", (2, 2): ""}),
-     simple_table({(3, 2): " "}).rstrip("\n"),
-     simple_table({(1, 1): None, (2, 0): None}).replace(",", ", ")],
-    ids=["complete", "interior-blank", "leading-and-last-blank", "run-of-two", "padded",
-         "whitespace", "blank-run", "no-final-line-end", "comma-space-padded"],
+     # a run longer than fill_limit = 2
+     simple_table({(1, 1): None, (2, 1): None, (3, 1): None, (2, 2): None}),
+     simple_table({(3, 2): None}).rstrip("\n"),
+     # the header is read by the csv module, as in the per-cell loop
+     simple_table({(1, 1): None}).replace("\n", "\r\n", 1)],
+    ids=["complete", "interior-blank", "leading-and-last-blank", "run-of-two", "run-of-three",
+         "no-final-line-end", "crlf-header"],
 )
 def test_plain_tables_are_read_by_numpy(table):
     """The differential test above only holds the numpy reader to the loop
     if tables like these reach it."""
     assert _read_prices_vectorised(table, len(CODES)) is not None
     assert _parsed(parse_price_panel, table, 2) == _parsed(parse_price_panel_loop, table, 2)
+
+
+_POSITIVE = _NUMBERS.filter(lambda cell: float(cell) > 0)
+
+
+@st.composite
+def plain_tables(draw):
+    """(price table text, fill_limit): LF lines under the CODES header, of
+    increasing dates and cells that each hold a positive finite number or
+    nothing, with or without a final line end."""
+    cells = draw(st.lists(st.lists(_POSITIVE | st.just(""), min_size=3, max_size=3),
+                          min_size=1, max_size=30))
+    steps = draw(st.lists(st.integers(1, 3), min_size=len(cells), max_size=len(cells)))
+    dates = [(datetime.date(2020, 1, 1) + datetime.timedelta(days=sum(steps[:k + 1]))).isoformat()
+             for k in range(len(cells))]
+    lines = ["date," + ",".join(CODES)] + [",".join([d, *row]) for d, row in zip(dates, cells)]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=plain_tables(), chunk=st.sampled_from([1, 64, 256]))
+def test_every_plain_table_is_read_by_numpy(table, chunk):
+    """A plain table, in one chunk or several, reaches the numpy reader and
+    reads to the per-cell loop's panel, so that none falls back to the slow
+    reader unnoticed."""
+    raw_table, fill_limit = table
+    with mock.patch.object(market_data, "_CHUNK", chunk):
+        assert _read_prices_vectorised(raw_table, len(CODES)) is not None
+        assert (_parsed(parse_price_panel, raw_table, fill_limit)
+                == _parsed(parse_price_panel_loop, raw_table, fill_limit))
 
 
 @pytest.mark.parametrize("chunk", [None, 100], ids=["real-chunk", "100-byte-chunk"])
@@ -408,7 +438,9 @@ def test_blanks_on_chunk_edges_are_read_by_numpy(chunk, monkeypatch):
     assert _chunk_edge_lines(table) == edges
     read = _read_prices_vectorised(table, len(CODES))
     assert read is not None
-    assert np.isnan(read[1][edges]).all() and not np.isnan(np.delete(read[1], edges, 0)).any()
+    blank = np.zeros((n_rows, len(CODES)), dtype=bool)
+    blank[edges, 1:] = True
+    assert np.array_equal(np.isnan(read[1]), blank)
     assert _parsed(parse_price_panel, table, 2) == _parsed(parse_price_panel_loop, table, 2)
 
 
@@ -425,10 +457,17 @@ def test_blanks_on_chunk_edges_are_read_by_numpy(chunk, monkeypatch):
      # `read_panel` turns every line end into `\n`; text still holding a `\r`
      # is read cell by cell
      simple_table().replace("\n", "\r\n"),
-     simple_table({(1, 2): "\x1c", (2, 2): "", (3, 2): " "}).replace("\n", "\r\n")],
+     simple_table({(1, 2): "\x1c", (2, 2): "", (3, 2): " "}).replace("\n", "\r\n"),
+     # whitespace in a cell: numpy reads only cells that hold a number or nothing
+     simple_table({(1, 0): " 1.5", (2, 2): "2.5e0 ", (3, 1): "\t3"}),
+     simple_table({(1, 0): " "}),
+     # blanks of every kind in a run longer than fill_limit = 2
+     simple_table({(1, 1): " ", (2, 1): "\t\x0b ", (3, 1): "\x1f", (2, 2): ""}),
+     simple_table({(1, 1): None, (2, 0): None}).replace(",", ", ")],
     ids=["nan", "inf", "underscore", "arabic-indic-digit", "over-field-limit",
          "long-row", "only-commas", "duplicate-date", "quoted", "nul", "no-break-space",
-         "lone-carriage-return", "crlf", "crlf-blank-run"],
+         "lone-carriage-return", "crlf", "crlf-blank-run", "padded", "whitespace", "blank-run",
+         "comma-space-padded"],
 )
 def test_other_tables_are_left_to_the_per_cell_loop(table):
     assert _read_prices_vectorised(table, len(CODES)) is None

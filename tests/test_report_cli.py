@@ -1109,3 +1109,51 @@ def test_subcommands_add_their_files_to_one_out_dir(tmp_path):
     assert "rmt_bounds.json" in expected and "tail_fits.json" in expected
     assert {rel: _read_bytes(path) for rel, path in _all_files(shared).items()} == expected
     assert _staging_dirs(tmp_path) == []
+
+
+def _first_assets(tmp_path, keep, last_code):
+    """--prices and --metadata of synthetic_price_files' four assets, C00 to
+    C03, with C03 renamed last_code, cut to the first `keep` assets."""
+    folder = tmp_path / f"in{keep}"
+    folder.mkdir()
+    prices, meta = map(pathlib.Path, synthetic_price_files(folder))
+    rows = prices.read_text(encoding="utf-8").replace("C03", last_code).splitlines()
+    prices.write_text("".join(",".join(row.split(",")[:keep + 1]) + "\n" for row in rows),
+                      encoding="utf-8")
+    rows = meta.read_text(encoding="utf-8").replace("C03", last_code).splitlines()
+    meta.write_text("".join(row + "\n" for row in rows[:keep + 1]), encoding="utf-8")
+    return ["--prices", str(prices), "--metadata", str(meta)]
+
+
+@pytest.mark.parametrize(
+    "first, second, last_code",
+    [((["report", "--surrogates", "1"], 4), (["report", "--surrogates", "1", "--c-th", "0.05"], 4),
+      "C03"),
+     ((["threshnet"], 4), (["threshnet", "--c-th", "0.05"], 4), "C03"),
+     ((["report", "--surrogates", "1"], 4), (["report", "--surrogates", "1"], 3), "C03"),
+     ((["report", "--surrogates", "1"], 4), (["report", "--surrogates", "1"], 3), ".C03"),
+     ((["tails"], 4), (["tails"], 3), "C03")],
+    ids=["report-swept-then-given-cutoff", "threshnet-swept-then-given-cutoff",
+         "report-fewer-assets", "report-fewer-assets-dot-code", "tails-fewer-assets"],
+)
+def test_a_rerun_leaves_out_dir_as_a_fresh_run_does(tmp_path, first, second, last_code):
+    """A rerun into one out_dir removes the files of the first run that its
+    own file groups own and do not write (a sweep.csv for a given cutoff, the
+    CCDF files of a dropped asset), and keeps every other file there."""
+    inputs = {keep: _first_assets(tmp_path, keep, last_code) for keep in {first[1], second[1]}}
+
+    def run(argv, keep, out_dir):
+        assert cli_main([argv[0], *inputs[keep], "--out-dir", str(out_dir), *argv[1:]]) == 0
+
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    rerun.mkdir()
+    (rerun / "notes.txt").write_text("mine")
+    run(*first, rerun)
+    stale = set(_all_files(rerun))
+    run(*second, rerun)
+    run(*second, fresh)
+    expected = {rel: _read_bytes(path) for rel, path in _all_files(fresh).items()}
+    assert stale - set(expected) - {"notes.txt"}  # the first run wrote files the second does not
+    assert ({rel: _read_bytes(path) for rel, path in _all_files(rerun).items()}
+            == {**expected, "notes.txt": b"mine"})
+    assert _staging_dirs(tmp_path) == []
