@@ -24,7 +24,8 @@ class PanelError(ValueError):
 
 
 class PeggedAssetError(PanelError):
-    """An asset's return series has (near) zero variance."""
+    """Fewer than 2 assets are left once those whose return series has (near)
+    zero variance are dropped."""
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,12 @@ class PricePanel:
 @dataclass(frozen=True)
 class ReturnPanel:
     """Log-returns per asset, each row scaled to unit variance, plus the
-    per-asset volatility of the raw returns."""
+    per-asset volatility of the raw returns and the assets left out."""
 
     assets: tuple[AssetMeta, ...]
     returns: np.ndarray  # N x T, rows of unit population variance
     sigma: np.ndarray  # length N, pre-normalization volatility
+    dropped: tuple[tuple[str, str], ...] = ()  # (code, reason) of each asset left out
 
     @property
     def n_assets(self) -> int:
@@ -344,7 +346,9 @@ def compute_log_returns(panel: PricePanel, delta: int = 1) -> ReturnPanel:
     """Log-returns between every delta-th price, so that spans do not overlap
     (the random-spectrum bounds at Q = T/N assume independent returns), each
     row divided by its volatility sigma, which is kept; sigma is the
-    population standard deviation (divide by T)."""
+    population standard deviation (divide by T). An asset pegged over the
+    whole window (sigma < PEG_GUARD_SIGMA) is dropped, and recorded, while at
+    least 2 assets remain."""
     if delta < 1:
         raise PanelError(f"delta must be >= 1, got {delta}")
     if panel.n_dates < 2 * delta + 1:
@@ -353,14 +357,16 @@ def compute_log_returns(panel: PricePanel, delta: int = 1) -> ReturnPanel:
         )
     returns = np.diff(np.log(panel.prices[:, ::delta]), axis=1)
     sigma = returns.std(axis=1)
-    pegged = np.flatnonzero(sigma < PEG_GUARD_SIGMA)
-    if pegged.size:
-        codes = ", ".join(panel.assets[i].code for i in pegged)
-        raise PeggedAssetError(
-            f"near-constant return series (sigma < {PEG_GUARD_SIGMA:g}) for: {codes}"
-        )
+    kept = sigma >= PEG_GUARD_SIGMA
+    reason = f"near-constant return series (sigma < {PEG_GUARD_SIGMA:g})"
+    pegged = [a.code for a, k in zip(panel.assets, kept) if not k]
+    if pegged:
+        if kept.sum() < 2:
+            raise PeggedAssetError(f"{reason} for: {', '.join(pegged)}")
+        returns, sigma = returns[kept], sigma[kept]
     return ReturnPanel(
-        assets=panel.assets,
+        assets=tuple(itertools.compress(panel.assets, kept)),
         returns=_freeze(returns / sigma[:, None]),
         sigma=_freeze(sigma),
+        dropped=tuple((code, reason) for code in pegged),
     )

@@ -161,18 +161,6 @@ def export_graph_json(g: Graph) -> str:
     return text.replace('"edges": []', '"edges": [\n' + edges + "\n  ]", 1)
 
 
-def export_ccdf_csv(mags: Sequence[str], counts: np.ndarray, column: np.ndarray) -> str:
-    """`x,ccdf` rows of one tail's CCDF in ascending x > 0. Row j prints x as
-    mags[j], then column[counts[j]], the `,P(X > x)` line end of its count of
-    samples beyond x. Equal to `_csv` of the (x, P(X > x)) pairs with x > 0 of
-    that tail from `tails.survival_counts`, as `oracles.tail_survival_loop`
-    counts them."""
-    cells = [""] * (2 * len(mags))
-    cells[0::2] = mags
-    cells[1::2] = column[counts].tolist()
-    return "x,ccdf\n" + "".join(cells)
-
-
 def export_matrix_csv(m: np.ndarray, assets: tuple[AssetMeta, ...], columns: Iterable[str]) -> str:
     """A table with one row per asset, labelled by its code, under the header
     `code,<columns>`. Each row becomes Python floats only when it is printed."""
@@ -199,28 +187,26 @@ def returns_files(rp: ReturnPanel) -> Files:
 
 def ccdf_files(rp: ReturnPanel, template: str) -> Files:
     """The empirical CCDF of each tail of each asset, one file per series,
-    at template.format(f"{code}_{side}"), in rows x > 0 only.
+    at template.format(f"{code}_{side}"): `x,ccdf` rows of P(X > x) for each
+    distinct x of the side's samples, x = r for r > 0 or x = -r for r < 0,
+    in ascending x and without the largest, which has no sample beyond it.
 
-    Of a series' unique values u, the positive file takes x = u for u > 0 and
-    the negative file x = -u for u < 0, each without its largest x, which has
-    no sample beyond it. Every x of the series is printed once, `%.12g`, in
-    one `%`. Every series has n = rp.n_steps samples, so the ccdf column is
-    printed once, for each count k < n."""
+    Every series has n = rp.n_steps samples, so the ccdf column is printed
+    once, for each count k < n; each file is printed in one `%`."""
     n = rp.n_steps
     column = np.array([",%.12g\n" % (k / n) for k in range(n)], dtype=object)
     yield template.format("*"), None
     for meta, row in zip(rp.assets, rp.returns):
-        values, greater, less = tails.survival_counts(row)
-        neg = np.searchsorted(values, 0.0, "left")  # values[:neg] < 0
-        pos = np.searchsorted(values, 0.0, "right")  # values[pos:] > 0
-        # values[1:neg][::-1], not values[neg-1:0:-1], which wraps round at neg == 0
-        x = np.concatenate([-values[1:neg][::-1], values[pos:-1]])
-        mags = ("%.12g " * x.size % tuple(x.tolist())).split()
-        m = max(neg - 1, 0)
-        yield (template.format(f"{meta.code}_positive"),
-               export_ccdf_csv(mags[m:], greater[pos:-1], column))
-        yield (template.format(f"{meta.code}_negative"),
-               export_ccdf_csv(mags[:m], less[1:neg][::-1], column))
+        for side, x in (("positive", row[row > 0]), ("negative", -row[row < 0])):
+            x.sort()  # boolean indexing made a copy: rp stays as it was
+            # the last index of each run of equal x but the largest run;
+            # x.size - 1 - last samples lie beyond it
+            last = np.flatnonzero(x[1:] != x[:-1])
+            cells = [None] * (2 * last.size)
+            cells[0::2] = x[last].tolist()
+            cells[1::2] = column[x.size - 1 - last].tolist()
+            yield (template.format(f"{meta.code}_{side}"),
+                   "x,ccdf\n" + "%.12g%s" * last.size % tuple(cells))
 
 
 def spectrum_files(
@@ -308,7 +294,8 @@ def check_settings(cfg: PipelineConfig) -> None:
 
 def _read_text(path: str, inputs: dict[str, Any] | None, key: str) -> str:
     """The text of the file at `path`, decoded as `open(path, encoding=
-    "utf-8-sig")` reads it; if `inputs` is a dict, inputs[key] gets the
+    "utf-8-sig")` reads it, or a PanelError naming `key` and the line of the
+    first byte that is not UTF-8; if `inputs` is a dict, inputs[key] gets the
     sha256 and length of its bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -316,7 +303,12 @@ def _read_text(path: str, inputs: dict[str, Any] | None, key: str) -> str:
         import hashlib  # only when hashing: loading OpenSSL takes a few ms of every import
 
         inputs[key] = {"sha256": hashlib.sha256(raw).hexdigest(), "bytes": len(raw)}
-    text = raw.decode("utf-8-sig")
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is raw without its byte-order mark
+        line = len(re.split(rb"\r\n|\r|\n", exc.object[:exc.start]))
+        raise market_data.PanelError(f"{key} file is not UTF-8: byte "
+                                     f"0x{exc.object[exc.start]:02x} on line {line}") from None
     if "\r" in text:  # universal newlines, as text mode reads them
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -633,6 +625,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
             "codes": [a.code for a in rp.assets],
             "first_date": panel.dates[0].isoformat(),
             "last_date": panel.dates[-1].isoformat(),
+            # only when an asset was left out, so other panels keep their bytes
+            **({"dropped_assets": [{"code": code, "reason": reason}
+                                   for code, reason in rp.dropped]} if rp.dropped else {}),
         },
         "tail_fits": tail_fits,
         "spectrum": {

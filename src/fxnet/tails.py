@@ -82,16 +82,3 @@ def fit_tail_exponent(
         side=side,
     )
 
-
-def survival_counts(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted unique values u of the samples, zeros unsigned, and for each the
-    counts of samples strictly greater and strictly less than it: n times the
-    CCDF of the positive tail at u and of the negative tail at -u."""
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise TailFitError("empty sample vector")
-    # + 0.0 turns -0.0 into 0.0, so no value is a signed zero
-    values, counts = np.unique(x + 0.0, return_counts=True)
-    at_or_below = np.cumsum(counts)
-    return values, x.size - at_or_below, at_or_below - counts
-

@@ -515,6 +515,16 @@ class TestLogReturns:
         with pytest.raises(PeggedAssetError, match="A00"):
             compute_log_returns(panel)
 
+    def test_a_pegged_row_is_dropped_and_recorded(self):
+        rows = [[1.0, 2.0, 1.5, 3.0], [3.75] * 4, [2.0, 1.0, 4.0, 3.0]]
+        rp = compute_log_returns(panel_from_prices(rows))
+        assert [a.code for a in rp.assets] == ["A00", "A02"]
+        assert rp.dropped == (("A01", "near-constant return series (sigma < 1e-10)"),)
+        # the two rows exactly as a panel without the pegged row gives them
+        kept = compute_log_returns(panel_from_prices([rows[0], rows[2]]))
+        assert kept.dropped == ()
+        assert np.array_equal(rp.returns, kept.returns) and np.array_equal(rp.sigma, kept.sigma)
+
     def test_analytic_two_step(self):
         panel = panel_from_prices([[1.0, math.e, 1.0], [1.0, 2.0, 8.0]])
         rp = compute_log_returns(panel)

@@ -711,6 +711,66 @@ def test_a_panel_with_fewer_dates_than_assets_runs_report_to_the_end(tmp_path):
     assert payload["graphs"]["mst"]["n_edges"] == 199
 
 
+def _pegged_or_deleted(tmp_path, pegged):
+    """--prices and --metadata of synthetic_price_files' five assets over 300
+    dates, with C01 at 3.6725 on every date (`pegged`) or with C01's column
+    deleted; the metadata lists all five either way."""
+    folder = tmp_path / ("pegged" if pegged else "deleted")
+    folder.mkdir()
+    prices, meta = map(pathlib.Path, synthetic_price_files(folder, n_assets=5, n_dates=300))
+    rows = [row.split(",") for row in prices.read_text(encoding="utf-8").splitlines()]
+    for row in rows[1:] if pegged else rows:
+        if pegged:
+            row[2] = "3.6725"
+        else:
+            del row[2]
+    prices.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    return ["--prices", str(prices), "--metadata", str(meta)]
+
+
+@pytest.mark.parametrize("cmd", ["report", "returns", "tails", "spectrum", "decompose", "mst",
+                                 "threshnet"])
+def test_an_asset_pegged_over_the_whole_window_drops_out_and_is_recorded(tmp_path, capsys, cmd):
+    """The oracle is the table without the pegged column, which reaches the
+    reader without the peg: every file but report.json, and stdout, must equal
+    its run's, and report.json may differ only in `inputs` and `dropped_assets`."""
+    runs = []
+    for pegged in (True, False):
+        out = tmp_path / "out"
+        assert cli_main([cmd, *_pegged_or_deleted(tmp_path, pegged), "--out-dir", str(out)]) == 0
+        files = {rel: _read_bytes(path) for rel, path in _all_files(out).items()}
+        runs.append((files, capsys.readouterr().out))
+        out.rename(tmp_path / f"out-{pegged}")
+    (files, stdout), (want, want_stdout) = runs
+    assert stdout == want_stdout
+    if cmd == "report":
+        payload, expected = (json.loads(f.pop("report.json")) for f in (files, want))
+        assert payload["panel"].pop("dropped_assets") == [
+            {"code": "C01", "reason": "near-constant return series (sigma < 1e-10)"}]
+        assert payload.pop("inputs") != expected.pop("inputs")
+        assert payload == expected
+        assert "dropped_assets" not in expected["panel"]
+    assert files == want
+
+
+@pytest.mark.parametrize("n_assets, pegged, codes", [(2, [0], "C00"), (3, [0, 2], "C00, C02")])
+def test_a_panel_with_fewer_than_two_unpegged_assets_fails_at_returns(
+        tmp_path, capsys, n_assets, pegged, codes):
+    prices, meta = synthetic_price_files(tmp_path, n_assets=n_assets, n_dates=300)
+    rows = [row.split(",") for row in pathlib.Path(prices).read_text(encoding="utf-8").splitlines()]
+    for row in rows[1:]:
+        for j in pegged:
+            row[1 + j] = "3.75"
+    pathlib.Path(prices).write_text("".join(",".join(row) + "\n" for row in rows),
+                                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["report", "--prices", prices, "--metadata", meta,
+                     "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error [returns]: near-constant return series (sigma < 1e-10) for: {codes}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -930,6 +990,20 @@ def test_byte_order_mark_reads_as_the_plain_table(tmp_path, marked):
     panel = read_panel(prices, meta, 5)
     assert (panel.assets, panel.dates) == (plain.assets, plain.dates)
     assert np.array_equal(panel.prices, plain.prices)
+
+
+@pytest.mark.parametrize("name, line", [("prices", 4), ("metadata", 3)])
+def test_a_file_that_is_not_utf8_is_an_ingest_error_naming_it(tmp_path, capsys, name, line):
+    # a byte-order mark, then a CRLF and a lone CR line end before the Latin-1 é
+    prices, meta = synthetic_price_files(tmp_path)
+    path = {"prices": prices, "metadata": meta}[name]
+    rows = _read_bytes(path).splitlines()
+    rows[line - 1] = rows[line - 1].replace(b",", b"\xe9,", 1)
+    data = codecs.BOM_UTF8 + rows[0] + b"\r\n" + rows[1] + b"\r" + b"\n".join(rows[2:]) + b"\n"
+    pathlib.Path(path).write_bytes(data)
+    assert cli_main(["ingest", "--prices", prices, "--metadata", meta]) == 1
+    assert capsys.readouterr().err == (
+        f"error [ingest]: {name} file is not UTF-8: byte 0xe9 on line {line}\n")
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone-cr"])

@@ -8,12 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_assets
 from fxnet.market_data import ReturnPanel
 from fxnet.report import ccdf_files
-from fxnet.tails import (
-    TailFitError,
-    fit_tail_exponent,
-    hill_estimate,
-    survival_counts,
-)
+from fxnet.tails import TailFitError, fit_tail_exponent, hill_estimate
 from oracles import ccdf_texts_two_sided, pareto_samples, tail_survival_loop
 
 # a small pool of values (ties, both signed zeros) mixed with normal noise;
@@ -120,29 +115,13 @@ class TestFitTailExponent:
         assert a1 == pytest.approx(a2, rel=1e-12)
 
 
-def _bits(values):
-    # hex strings tell -0.0 from 0.0, which == does not
-    return [float(v).hex() for v in values]
+def _rows(text):
+    """The (x, P) rows of a CCDF file's text as an array of two columns."""
+    return np.array([[float(c) for c in line.split(",")] for line in text.splitlines()[1:]])
 
 
 class TestTailSurvival:
-    """`survival_counts`, whose counts give the CCDF of each tail."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(pool=POOLS, size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
-    def test_matches_loop_oracle_bit_for_bit(self, pool, size, seed):
-        x = _pooled_draw(pool, size, seed)
-        values, greater, less = survival_counts(x)
-        positive = tail_survival_loop(x, "positive")
-        # the oracle's negative tail in ascending u = -x
-        negative = tail_survival_loop(x, "negative")[::-1]
-        # each value but the largest has a greater sample; each but the
-        # smallest a less one
-        assert greater[-1] == 0 and less[0] == 0
-        assert _bits(values[:-1]) == _bits(u for u, _ in positive)
-        assert _bits(values[1:]) == _bits(-v + 0.0 for v, _ in negative)
-        assert _bits(greater[:-1] / size) == _bits(p for _, p in positive)
-        assert _bits(less[1:] / size) == _bits(p for _, p in negative)
+    """The P(X > x) column of the CCDF files."""
 
     def test_zeros_count_toward_p_but_print_no_row(self):
         # two of the four samples are zeros: P(X > 1) is 1/4, not 1/2
@@ -152,47 +131,31 @@ class TestTailSurvival:
             texts = [_ccdf_texts(np.array([*zeros, -2.0, -1.0, 1.0, 2.0]))[f"A00_{side}"]
                      for zeros in ([0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0])]
             assert texts == [f"x,ccdf\n1,{1 / 6:.12g}\n"] * 4, side
-        assert _bits(survival_counts(np.array([-0.0, 1.0]))[0]) == _bits([0.0, 1.0])
-
-    def test_counting_fixture(self):
-        values, greater, less = survival_counts(np.array([2.0, 1.0, 3.0, 2.0]))
-        assert values.tolist() == [1.0, 2.0, 3.0]
-        assert greater.tolist() == [3, 1, 0]
-        assert less.tolist() == [0, 1, 3]
-
-    def test_single_point_empty(self):
-        # no sample lies on either side of it: both CCDFs are empty
-        values, greater, less = survival_counts(np.array([5.0]))
-        assert (values.tolist(), greater.tolist(), less.tolist()) == ([5.0], [0], [0])
 
     def test_negative_side_negates(self, rng):
         x = rng.standard_normal(50).round(1)  # ties
-        values, greater, less = survival_counts(x)
-        neg_values, neg_greater, neg_less = survival_counts(-x)
-        assert np.array_equal(neg_values, -values[::-1])
-        assert np.array_equal(neg_greater, less[::-1])
-        assert np.array_equal(neg_less, greater[::-1])
+        texts, negated = _ccdf_texts(x), _ccdf_texts(-x)
+        assert texts["A00_positive"] == negated["A00_negative"]
+        assert texts["A00_negative"] == negated["A00_positive"]
 
     def test_probabilities_strictly_decreasing(self, rng):
         x = rng.standard_normal(300).round(2)  # ties
-        _, greater, less = survival_counts(x)
-        assert np.all(np.diff(greater) < 0) and np.all(np.diff(less) > 0)
-        assert greater[0] < x.size and less[-1] < x.size
-        assert greater[-1] == 0 and np.all(greater[:-1] > 0)
+        for side, tail in (("positive", x[x > 0]), ("negative", x[x < 0])):
+            rows = _rows(_ccdf_texts(x)[f"A00_{side}"])
+            # one row per distinct value but the largest
+            assert rows.shape[0] == np.unique(tail).size - 1 < tail.size - 1, side
+            assert np.all(np.diff(rows[:, 0]) > 0) and np.all(np.diff(rows[:, 1]) < 0), side
+            assert np.all(rows > 0) and np.all(rows[:, 1] < 1), side
 
     def test_pareto_loglog_slope(self):
         rng = np.random.default_rng(4242)
         samples = pareto_samples(rng, 1000, 3.0)
-        values, greater, _ = survival_counts(samples)
-        xs, ps = values[:-1], greater[:-1] / samples.size
+        rows = _rows(_ccdf_texts(samples)["A00_positive"])
+        xs, ps = rows[:, 0], rows[:, 1]
         lo, hi = np.quantile(samples, [0.90, 0.99])
         mask = (xs >= lo) & (xs <= hi)
         slope = np.polyfit(np.log(xs[mask]), np.log(ps[mask]), 1)[0]
         assert -slope == pytest.approx(3.0, abs=0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(TailFitError):
-            survival_counts(np.array([]))
 
 
 # how the writer's draws are reshaped: one-signed series (with and without
