@@ -193,17 +193,17 @@ def parse_price_panel(
     if len(set(codes)) != len(codes):
         raise PanelError("duplicate asset column in price table")
 
-    table = _read_prices_vectorised(raw_table, len(codes))
-    if table is None:
-        table = _read_prices_per_cell(records, codes)
-    dates, values = table
+    dates, values = (_read_prices_vectorised(raw_table, len(codes))
+                     or _read_prices_per_cell(records, codes))
     keep = _forward_fill(values, fill_limit)
     dates = tuple(itertools.compress(dates, keep))
     if len(dates) < 3:
         raise PanelError(f"only {len(dates)} complete dates survive alignment, need >= 3")
+    if len(dates) < len(keep):  # values[keep] copies even when it keeps every date
+        values = values[keep]
 
     assets = tuple(metas[c] for c in codes)
-    return PricePanel(assets=assets, dates=dates, prices=_freeze(values[keep].T))
+    return PricePanel(assets=assets, dates=dates, prices=_freeze(values.T))
 
 
 def _read_prices_vectorised(
@@ -220,8 +220,11 @@ def _read_prices_vectorised(
     no cell spells nan or inf, and `_blanks_as_nan` writes each empty cell
     as `nan`, so a NaN in the matrix is a blank cell. A line over the csv
     field limit declines; underscores and short rows make numpy raise, and
-    long rows fail the comma count. The body is read in chunks of whole
-    lines, so that no mask as long as the table is made.
+    long rows fail the comma count. The body is cut into chunks of whole
+    lines, and one `np.loadtxt` call reads the lines of each chunk as it is
+    cut, so that besides the table and the matrix only one chunk's text,
+    masks and lines are held at a time. A chunk that declines ends that
+    call early.
     """
     if '"' in raw_table or not raw_table.isascii():
         return None
@@ -229,33 +232,45 @@ def _read_prices_vectorised(
     if not start or raw_table.find("n", start) >= 0 or raw_table.find("N", start) >= 0:
         return None
     field_limit = csv.field_size_limit()
-    lines: list[str] = []
+    dates: list[datetime.date] = []
     n_commas = 0
-    while start < len(raw_table):
-        stop = raw_table.find("\n", start + _CHUNK) + 1 or len(raw_table)
-        chunk = raw_table[start:stop]
-        start = stop
-        read = _blanks_as_nan(chunk, field_limit)
-        if read is None:
-            return None
-        text, commas = read
-        n_commas += commas
-        lines += filter(None, text.split("\n"))  # the csv reader skips empty lines
-    if not lines or n_commas != n * len(lines):
+    declined = False
+
+    def chunk_lines(start: int):
+        nonlocal n_commas, declined
+        while start < len(raw_table):
+            stop = raw_table.find("\n", start + _CHUNK) + 1 or len(raw_table)
+            read = _blanks_as_nan(raw_table[start:stop], field_limit)
+            start = stop
+            if read is None:
+                declined = True
+                return
+            text, commas = read
+            n_commas += commas
+            lines = list(filter(None, text.split("\n")))  # the csv reader skips empty lines
+            try:
+                dates.extend(_iso_date(line.partition(",")[0]) for line in lines)
+            except ValueError:
+                declined = True
+                return
+            yield lines
+
+    # numpy warns on input without lines, so the first lines are cut first
+    chunks = filter(None, chunk_lines(start))
+    first = next(chunks, None)
+    if first is None:
         return None
     try:
-        dates = [_iso_date(line.partition(",")[0]) for line in lines]
+        values = np.loadtxt(itertools.chain(first, itertools.chain.from_iterable(chunks)),
+                            delimiter=",", usecols=range(1, n + 1), comments=None, ndmin=2)
     except ValueError:
+        return None
+    if declined or n_commas != n * len(dates) or len(values) != len(dates):
         return None
     if any(later <= earlier for earlier, later in zip(dates, dates[1:])):
         return None
-    try:
-        values = np.loadtxt(lines, delimiter=",", usecols=range(1, n + 1),
-                            comments=None, ndmin=2)
-    except ValueError:
-        return None
     blank = np.isnan(values)
-    if len(values) != len(dates) or not np.all(blank | ((values > 0) & (values < np.inf))):
+    if not np.all(blank | ((values > 0) & (values < np.inf))):
         return None
     return dates, values
 
@@ -364,9 +379,10 @@ def compute_log_returns(panel: PricePanel, delta: int = 1) -> ReturnPanel:
         if kept.sum() < 2:
             raise PeggedAssetError(f"{reason} for: {', '.join(pegged)}")
         returns, sigma = returns[kept], sigma[kept]
+    returns /= sigma[:, None]
     return ReturnPanel(
         assets=tuple(itertools.compress(panel.assets, kept)),
-        returns=_freeze(returns / sigma[:, None]),
+        returns=_freeze(returns),
         sigma=_freeze(sigma),
         dropped=tuple((code, reason) for code in pegged),
     )

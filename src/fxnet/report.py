@@ -423,6 +423,7 @@ def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -
     finally:
         for thread in threads:
             thread.join()
+    bufs.clear()  # before the summary's temporaries, which grow with count
     if errors:
         raise errors[0]
     vals = np.concatenate([lam for lam, _ in results])
@@ -591,6 +592,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     inputs: dict[str, Any] = {}
     panel = read_panel(cfg.prices_path, cfg.metadata_path, cfg.fill_limit, inputs)
     rp = panel_returns(panel, cfg.delta)
+    # the price matrix is not needed once the returns exist
+    n_dates, first_date, last_date = panel.n_dates, panel.dates[0], panel.dates[-1]
+    del panel
     tail_fits = fit_tails(rp, cfg.tail_fraction)
     c = correlate(rp)
     sd, bounds = spectrum(c, rp.n_steps)
@@ -620,11 +624,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
         "inputs": inputs,
         "panel": {
             "n_assets": rp.n_assets,
-            "n_dates": panel.n_dates,
+            "n_dates": n_dates,
             "n_steps": rp.n_steps,
             "codes": [a.code for a in rp.assets],
-            "first_date": panel.dates[0].isoformat(),
-            "last_date": panel.dates[-1].isoformat(),
+            "first_date": first_date.isoformat(),
+            "last_date": last_date.isoformat(),
             # only when an asset was left out, so other panels keep their bytes
             **({"dropped_assets": [{"code": code, "reason": reason}
                                    for code, reason in rp.dropped]} if rp.dropped else {}),

@@ -69,6 +69,22 @@ def meta_csv(codes, market_classes=None):
     return "\n".join(lines) + "\n"
 
 
+def paper_shaped_table(rng, blank_frac=0.0):
+    """(price table, metadata) CSV text of the paper's shape: 74 random-walk
+    rates printed with 10 significant digits over 6035 days, each cell blank
+    with probability blank_frac."""
+    import datetime
+
+    n, n_dates = 74, 6035
+    prices = np.exp(rng.normal(0, 0.01, (n_dates, n)).cumsum(axis=0))
+    blank = rng.random((n_dates, n)) < blank_frac
+    rows = [[None if b else f"{p:.10g}" for p, b in zip(*row)] for row in zip(prices, blank)]
+    codes = [f"C{j:02d}" for j in range(n)]
+    dates = [(datetime.date(1995, 1, 1) + datetime.timedelta(days=k)).isoformat()
+             for k in range(n_dates)]
+    return price_csv(codes, dates, rows), meta_csv(codes)
+
+
 def synthetic_price_files(tmp_path, n_assets=4, n_dates=600, seed=7):
     """Write a random-walk price CSV and matching metadata; return the paths."""
     import datetime

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_assets, meta_csv, price_csv
+from conftest import make_assets, meta_csv, paper_shaped_table, price_csv
 from oracles import parse_price_panel_loop
 from fxnet import market_data
 from fxnet.market_data import (
@@ -463,14 +463,42 @@ def test_blanks_on_chunk_edges_are_read_by_numpy(chunk, monkeypatch):
      simple_table({(1, 0): " "}),
      # blanks of every kind in a run longer than fill_limit = 2
      simple_table({(1, 1): " ", (2, 1): "\t\x0b ", (3, 1): "\x1f", (2, 2): ""}),
-     simple_table({(1, 1): None, (2, 0): None}).replace(",", ", ")],
+     simple_table({(1, 1): None, (2, 0): None}).replace(",", ", "),
+     # no line for numpy to read, which would make it warn
+     "date,AAA,BBB,CCC\n", "date,AAA,BBB,CCC\n\n\n\n"],
     ids=["nan", "inf", "underscore", "arabic-indic-digit", "over-field-limit",
          "long-row", "only-commas", "duplicate-date", "quoted", "nul", "no-break-space",
          "lone-carriage-return", "crlf", "crlf-blank-run", "padded", "whitespace", "blank-run",
-         "comma-space-padded"],
+         "comma-space-padded", "header-only", "blank-lines-only"],
 )
 def test_other_tables_are_left_to_the_per_cell_loop(table):
     assert _read_prices_vectorised(table, len(CODES)) is None
+    assert _parsed(parse_price_panel, table, 2) == _parsed(parse_price_panel_loop, table, 2)
+
+
+def _last_line(table, cells):
+    """`table` with its last line's cells after the date replaced by `cells`."""
+    head, last = table.rstrip("\n").rsplit("\n", 1)
+    return f"{head}\n{last.partition(',')[0]},{cells}\n"
+
+
+@pytest.mark.parametrize(
+    "table, by_numpy",
+    [(_gappy_table(40, []), True),
+     ("date,AAA,BBB,CCC\n" + "\n" * 250 + _gappy_table(40, []).partition("\n")[2], True),
+     (_last_line(_gappy_table(40, []), "1,2,1e999"), False),
+     (_gappy_table(40, []).replace("2000-02-09", "2000-02-30"), False),
+     (_last_line(_gappy_table(40, []), "1,2,3,"), False),
+     (_last_line(_gappy_table(40, []), "1,2, 3"), False)],
+    ids=["plain", "blank-first-chunks", "inf-in-last-chunk", "bad-date-in-last-chunk",
+         "extra-comma-in-last-chunk", "space-in-last-chunk"],
+)
+def test_chunks_read_one_by_one_as_in_the_per_cell_loop(table, by_numpy, monkeypatch):
+    """numpy reads each 100-byte chunk's lines as the chunk is cut; a chunk
+    that declines, here only the last, hands the whole table to the loop."""
+    monkeypatch.setattr(market_data, "_CHUNK", 100)
+    assert len(_chunk_edge_lines(table)) >= 6  # three chunks or more
+    assert (_read_prices_vectorised(table, len(CODES)) is not None) == by_numpy
     assert _parsed(parse_price_panel, table, 2) == _parsed(parse_price_panel_loop, table, 2)
 
 
@@ -478,15 +506,8 @@ def test_parse_peak_memory_stays_near_the_table_length(rng):
     """One parse of a paper-sized table (74 assets x 6035 dates, 1 % blank
     cells) allocates at most 2.5 times the table's length at its peak: the
     numpy reader scans the table in chunks, not through masks as long as it."""
-    n, n_dates = 74, 6035
-    prices = np.exp(rng.normal(0, 0.01, (n_dates, n)).cumsum(axis=0))
-    blank = rng.random((n_dates, n)) < 0.01
-    rows = [[None if b else f"{p:.10g}" for p, b in zip(*row)] for row in zip(prices, blank)]
-    codes = [f"C{j:02d}" for j in range(n)]
-    dates = [(datetime.date(1995, 1, 1) + datetime.timedelta(days=k)).isoformat()
-             for k in range(n_dates)]
-    table, meta = price_csv(codes, dates, rows), meta_csv(codes)
-    assert _read_prices_vectorised(table, n) is not None
+    table, meta = paper_shaped_table(rng, blank_frac=0.01)
+    assert _read_prices_vectorised(table, 74) is not None
     gc.collect()
     tracemalloc.start()
     try:

@@ -23,6 +23,7 @@ from conftest import (
     make_assets,
     normalized_noise_panel,
     panel_from_returns,
+    paper_shaped_table,
     planted_price_files,
     synthetic_price_files,
 )
@@ -847,6 +848,51 @@ def test_returns_peak_memory_stays_near_the_text_length(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * length
+
+
+def _traced_peak(fn, *args):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def paper_shaped_files(tmp_path_factory):
+    """A plain price table of the paper's shape, 74 assets x 6035 dates
+    without blanks (5.1 MB), and its metadata."""
+    table, meta = paper_shaped_table(np.random.default_rng(23))
+    tmp_path = tmp_path_factory.mktemp("paper_shaped")
+    (tmp_path / "prices.csv").write_text(table, encoding="utf-8")
+    (tmp_path / "meta.csv").write_text(meta, encoding="utf-8")
+    return str(tmp_path / "prices.csv"), str(tmp_path / "meta.csv"), len(table)
+
+
+# At most this many bytes traced per byte of the price table. Ingest holds
+# the table's text and two dates x assets matrices (8 bytes per ~12-byte
+# cell), the read matrix and its transpose, at about 2.4 table lengths; its
+# list of every line and two more matrices made 3.1. Then the surrogates
+# hold the returns and one matrix per worker, not the prices as well.
+PEAK_PER_TABLE_BYTE = 2.6
+
+
+def test_read_panel_peak_memory_is_the_text_and_two_matrices(paper_shaped_files):
+    prices, meta, length = paper_shaped_files
+    assert _traced_peak(read_panel, prices, meta, 5) <= PEAK_PER_TABLE_BYTE * length
+
+
+def test_run_pipeline_peak_memory_is_that_of_ingest(paper_shaped_files, tmp_path, monkeypatch):
+    """Two surrogate workers, whatever the CPUs, each with an N x T buffer:
+    the price matrix, if it were kept beside them and the returns, would
+    lift the peak over the bound."""
+    prices, meta, length = paper_shaped_files
+    monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+    cfg = PipelineConfig(prices_path=prices, metadata_path=meta,
+                         out_dir=str(tmp_path / "out"), surrogates=4)
+    assert _traced_peak(run_pipeline, cfg) <= PEAK_PER_TABLE_BYTE * length
 
 
 def _quoted_code_files(tmp_path, codes, n_dates=300, seed=3):
