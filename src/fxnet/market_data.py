@@ -221,10 +221,10 @@ def _read_prices_vectorised(
     as `nan`, so a NaN in the matrix is a blank cell. A line over the csv
     field limit declines; underscores and short rows make numpy raise, and
     long rows fail the comma count. The body is cut into chunks of whole
-    lines, and one `np.loadtxt` call reads the lines of each chunk as it is
-    cut, so that besides the table and the matrix only one chunk's text,
-    masks and lines are held at a time. A chunk that declines ends that
-    call early.
+    lines, and each chunk's lines go through their own `np.loadtxt` call as
+    the chunk is cut, so that besides the table and the chunks' matrices
+    only one chunk's text, masks and lines are held at a time, until one
+    concatenation joins the matrices. A chunk that declines ends the read.
     """
     if '"' in raw_table or not raw_table.isascii():
         return None
@@ -233,46 +233,31 @@ def _read_prices_vectorised(
         return None
     field_limit = csv.field_size_limit()
     dates: list[datetime.date] = []
-    n_commas = 0
-    declined = False
-
-    def chunk_lines(start: int):
-        nonlocal n_commas, declined
-        while start < len(raw_table):
-            stop = raw_table.find("\n", start + _CHUNK) + 1 or len(raw_table)
-            read = _blanks_as_nan(raw_table[start:stop], field_limit)
-            start = stop
-            if read is None:
-                declined = True
-                return
-            text, commas = read
-            n_commas += commas
-            lines = list(filter(None, text.split("\n")))  # the csv reader skips empty lines
-            try:
-                dates.extend(_iso_date(line.partition(",")[0]) for line in lines)
-            except ValueError:
-                declined = True
-                return
-            yield lines
-
-    # numpy warns on input without lines, so the first lines are cut first
-    chunks = filter(None, chunk_lines(start))
-    first = next(chunks, None)
-    if first is None:
+    parts: list[np.ndarray] = []
+    while start < len(raw_table):
+        stop = raw_table.find("\n", start + _CHUNK) + 1 or len(raw_table)
+        read = _blanks_as_nan(raw_table[start:stop], field_limit)
+        start = stop
+        if read is None:
+            return None
+        text, commas = read
+        lines = list(filter(None, text.split("\n")))  # the csv reader skips empty lines
+        if not lines:
+            continue
+        if commas != n * len(lines):
+            return None
+        try:
+            dates.extend(_iso_date(line.partition(",")[0]) for line in lines)
+            part = np.loadtxt(lines, delimiter=",", usecols=range(1, n + 1), comments=None,
+                              ndmin=2)
+        except ValueError:
+            return None
+        if not np.all(np.isnan(part) | ((part > 0) & (part < np.inf))):
+            return None
+        parts.append(part)
+    if not parts or any(later <= earlier for earlier, later in zip(dates, dates[1:])):
         return None
-    try:
-        values = np.loadtxt(itertools.chain(first, itertools.chain.from_iterable(chunks)),
-                            delimiter=",", usecols=range(1, n + 1), comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if declined or n_commas != n * len(dates) or len(values) != len(dates):
-        return None
-    if any(later <= earlier for earlier, later in zip(dates, dates[1:])):
-        return None
-    blank = np.isnan(values)
-    if not np.all(blank | ((values > 0) & (values < np.inf))):
-        return None
-    return dates, values
+    return dates, np.concatenate(parts)
 
 
 def _blanks_as_nan(chunk: str, field_limit: int) -> tuple[str, int] | None:

@@ -165,6 +165,19 @@ def test_malformed_line_is_a_panel_error_naming_it(prices, meta, message):
             parse_price_panel(prices, meta)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [("date,AAA", "price table must contain at least 2 assets"),
+     ("date,AAA,AAA,BBB", "duplicate asset column in price table")],
+    ids=["one-asset", "duplicate-column"],
+)
+def test_bad_header_is_a_panel_error_as_in_the_per_cell_loop(header, message):
+    n = header.count(",")
+    table = header + "\n" + "".join(f"{d}{',1.5' * n}\n" for d in DATES)
+    assert _parsed(parse_price_panel, table, 2) == ("PanelError", message)
+    assert _parsed(parse_price_panel_loop, table, 2) == ("PanelError", message)
+
+
 @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"],
                          ids=ascii)
 def test_rows_are_split_at_line_feeds_only(char):
@@ -483,22 +496,29 @@ def _last_line(table, cells):
 
 
 @pytest.mark.parametrize(
-    "table, by_numpy",
-    [(_gappy_table(40, []), True),
-     ("date,AAA,BBB,CCC\n" + "\n" * 250 + _gappy_table(40, []).partition("\n")[2], True),
-     (_last_line(_gappy_table(40, []), "1,2,1e999"), False),
-     (_gappy_table(40, []).replace("2000-02-09", "2000-02-30"), False),
-     (_last_line(_gappy_table(40, []), "1,2,3,"), False),
-     (_last_line(_gappy_table(40, []), "1,2, 3"), False)],
+    "table, by_numpy, chunks_cut",
+    [(_gappy_table(40, []), True, None),
+     ("date,AAA,BBB,CCC\n" + "\n" * 250 + _gappy_table(40, []).partition("\n")[2], True, None),
+     (_last_line(_gappy_table(40, []), "1,2,1e999"), False, None),
+     (_gappy_table(40, []).replace("2000-02-09", "2000-02-30"), False, None),
+     (_last_line(_gappy_table(40, []), "1,2,3,"), False, None),
+     (_last_line(_gappy_table(40, []), "1,2, 3"), False, None),
+     (_gappy_table(40, []).replace("1.25,1.50,1.75", "1.25,1.50,1e999", 1), False, 1)],
     ids=["plain", "blank-first-chunks", "inf-in-last-chunk", "bad-date-in-last-chunk",
-         "extra-comma-in-last-chunk", "space-in-last-chunk"],
+         "extra-comma-in-last-chunk", "space-in-last-chunk", "inf-in-first-chunk"],
 )
-def test_chunks_read_one_by_one_as_in_the_per_cell_loop(table, by_numpy, monkeypatch):
+def test_chunks_read_one_by_one_as_in_the_per_cell_loop(table, by_numpy, chunks_cut,
+                                                         monkeypatch):
     """numpy reads each 100-byte chunk's lines as the chunk is cut; a chunk
-    that declines, here only the last, hands the whole table to the loop."""
+    that declines hands the whole table to the loop, and no later chunk is
+    cut (chunks_cut None: every chunk is)."""
     monkeypatch.setattr(market_data, "_CHUNK", 100)
-    assert len(_chunk_edge_lines(table)) >= 6  # three chunks or more
+    n_chunks = len(_chunk_edge_lines(table)) // 2
+    assert n_chunks >= 3
+    cut = mock.Mock(wraps=market_data._blanks_as_nan)
+    monkeypatch.setattr(market_data, "_blanks_as_nan", cut)
     assert (_read_prices_vectorised(table, len(CODES)) is not None) == by_numpy
+    assert cut.call_count == (n_chunks if chunks_cut is None else chunks_cut)
     assert _parsed(parse_price_panel, table, 2) == _parsed(parse_price_panel_loop, table, 2)
 
 

@@ -173,6 +173,14 @@ class TestThresholdNetwork:
         g = threshold_network(m, 0.133, make_assets(3))
         assert g.edges == ()  # equality excluded
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cutoffs_rejected(self, bad):
+        with pytest.raises(ValueError, match="threshold c_th must be finite"):
+            threshold_network(np.eye(3), bad, make_assets(3))
+        g = threshold_network(np.eye(3), 0.5, make_assets(3))
+        with pytest.raises(ValueError, match="hub_sigma must be finite"):
+            cluster_report(g, bad)
+
     def test_edge_sets_nested_across_thresholds(self, rng):
         m = rng.uniform(-0.2, 0.4, (8, 8))
         m = (m + m.T) / 2

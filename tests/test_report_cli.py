@@ -1123,6 +1123,41 @@ def test_every_public_function_has_a_caller():
     assert uncalled == []
 
 
+def test_every_import_and_private_name_is_used():
+    """Each module of fxnet loads every name it imports (`from __future__`
+    aside), and every private top-level function, class and constant it
+    defines unless another fxnet module or a test names it: a deletion
+    leaves no import or helper behind."""
+    modules = sorted((ROOT / "src" / "fxnet").glob("*.py"))
+    texts = {path: path.read_text(encoding="utf-8")
+             for path in modules + sorted((ROOT / "tests").glob("*.py"))}
+    words = {path: set(re.findall(r"\w+", text)) for path, text in texts.items()}
+    unused = []
+    for path in modules:
+        if path.name == "__init__.py":  # it imports only to re-export
+            continue
+        tree = ast.parse(texts[path])
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        named_elsewhere = set().union(*(w for other, w in words.items() if other != path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                unused += [f"{path.name}: import {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in loaded]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in names if name.startswith("_")
+                       and name not in loaded | named_elsewhere]
+    assert unused == []
+
+
 def _staging_dirs(root):
     return list(root.rglob(".fxnet-*"))
 

@@ -104,6 +104,18 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="non-finite"):
             eigendecompose(np.array([[1.0, bad], [bad, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "c, message",
+        [(np.ones((2, 3)), r"must be square, got \(2, 3\)"),
+         ([[1.0, 0.5], [0.4, 1.0]], "asymmetry 0.1 exceeds"),
+         ([[0.9, 0.5], [0.5, 1.0]], "diagonal deviates from 1"),
+         ([[1.0, 1.5], [1.5, 1.0]], r"entries fall outside \[-1, 1\]")],
+        ids=["non-square", "asymmetric", "diagonal-not-1", "entry-above-1"],
+    )
+    def test_rejects_what_is_not_a_correlation_matrix(self, c, message):
+        with pytest.raises(ValueError, match=message):
+            eigendecompose(c)
+
     def test_fewer_steps_than_assets_matches_the_dual_matrix(self):
         # 200 assets x 150 steps: the centred rows have rank 149, so C has
         # 149 nonzero eigenvalues, those of the 150 x 150 dual matrix, and
