@@ -327,19 +327,19 @@ def _read_prices_per_cell(
 
 def _forward_fill(values: np.ndarray, fill_limit: int) -> np.ndarray:
     """Fill each blank (NaN) cell of the dates x assets `values` in place
-    from the last observed price above it, if that is at most `fill_limit`
-    dates back, counting dates that will be dropped; return the mask of
-    dates left complete."""
-    blank = np.isnan(values)
-    if not blank.any():
+    from the row above its run of blanks in its column (-1, the bottom row,
+    if none); return the mask of dates whose every blank has a price at
+    most `fill_limit` dates above it, counting dates that will be dropped."""
+    cols, rows = np.nonzero(np.isnan(values).T)  # column by column, top down
+    if not len(rows):
         return np.ones(len(values), dtype=bool)
-    t = np.arange(len(values))[:, None]
-    last = np.maximum.accumulate(np.where(blank, -1, t), axis=0)
-    fillable = (last >= 0) & (t - last <= fill_limit)
-    # a cell with nothing observed above it (last == -1) reads the bottom
-    # row here, but is not fillable, so its date is dropped
-    values[blank] = np.take_along_axis(values, last, axis=0)[blank]
-    return fillable.all(axis=1)
+    # a run of blanks ends where the column changes or a row is skipped
+    starts = np.flatnonzero(np.diff(cols * (len(values) + 1) + rows, prepend=-2) != 1)
+    source = np.repeat(rows[starts] - 1, np.diff(starts, append=len(rows)))
+    values[rows, cols] = values[source, cols]
+    keep = np.ones(len(values), dtype=bool)
+    keep[rows[(source < 0) | (rows - source > fill_limit)]] = False
+    return keep
 
 
 def compute_log_returns(panel: PricePanel, delta: int = 1) -> ReturnPanel:

@@ -62,7 +62,7 @@ def _kruskal(key: np.ndarray) -> list[tuple[int, int]]:
     in (key[i, j], i, j) order, in the order they were taken."""
     n = key.shape[0]
     rows, cols = np.triu_indices(n, k=1)
-    order = np.lexsort((cols, rows, key[rows, cols]))
+    order = np.argsort(key[rows, cols], kind="stable")  # ties keep the (i, j) order
     parent = list(range(n))
     forest: list[tuple[int, int]] = []
     for i, j in zip(rows[order].tolist(), cols[order].tolist()):
@@ -115,8 +115,6 @@ def minimum_spanning_tree(d: np.ndarray, assets: tuple[AssetMeta, ...]) -> Graph
     if not np.all(np.isfinite(d)):
         raise ValueError("distance matrix contains non-finite entries")
     edges = [(i, j, float(d[i, j])) for i, j in _kruskal(d)]
-    if len(edges) != len(assets) - 1:
-        raise ValueError("distance matrix does not yield a connected tree")
     return Graph(assets=tuple(assets), edges=tuple(edges), kind="mst")
 
 

@@ -73,11 +73,21 @@ def paper_shaped_table(rng, blank_frac=0.0):
     """(price table, metadata) CSV text of the paper's shape: 74 random-walk
     rates printed with 10 significant digits over 6035 days, each cell blank
     with probability blank_frac."""
+    return random_walk_table(rng, 74, 6035, blank_frac)
+
+
+def random_walk_table(rng, n, n_dates, blank_frac=0.0, outages=0):
+    """(price table, metadata) CSV text of n random-walk rates printed with
+    10 significant digits over n_dates days, each cell blank with
+    probability blank_frac, plus `outages` runs of 6 to 9 blank days in one
+    column each: longer than the default fill limit, so their days drop."""
     import datetime
 
-    n, n_dates = 74, 6035
     prices = np.exp(rng.normal(0, 0.01, (n_dates, n)).cumsum(axis=0))
     blank = rng.random((n_dates, n)) < blank_frac
+    for _ in range(outages):
+        start = rng.integers(1, n_dates - 9)
+        blank[start:start + rng.integers(6, 10), rng.integers(n)] = True
     rows = [[None if b else f"{p:.10g}" for p, b in zip(*row)] for row in zip(prices, blank)]
     codes = [f"C{j:02d}" for j in range(n)]
     dates = [(datetime.date(1995, 1, 1) + datetime.timedelta(days=k)).isoformat()

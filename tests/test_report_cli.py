@@ -25,6 +25,7 @@ from conftest import (
     panel_from_returns,
     paper_shaped_table,
     planted_price_files,
+    random_walk_table,
     synthetic_price_files,
 )
 from fxnet import market_data, report, spectral
@@ -864,8 +865,20 @@ def _traced_peak(fn, *args):
 def paper_shaped_files(tmp_path_factory):
     """A plain price table of the paper's shape, 74 assets x 6035 dates
     without blanks (5.1 MB), and its metadata."""
-    table, meta = paper_shaped_table(np.random.default_rng(23))
-    tmp_path = tmp_path_factory.mktemp("paper_shaped")
+    return _written(tmp_path_factory.mktemp("paper_shaped"),
+                    *paper_shaped_table(np.random.default_rng(23)))
+
+
+@pytest.fixture(scope="module")
+def gappy_files(tmp_path_factory):
+    """A price table of the benchmark's `stages` shape, 100 assets x 2500
+    dates with 1 % blank cells and four outages whose dates drop (3.1 MB),
+    and its metadata."""
+    return _written(tmp_path_factory.mktemp("gappy"),
+                    *random_walk_table(np.random.default_rng(25), 100, 2500, 0.01, outages=4))
+
+
+def _written(tmp_path, table, meta):
     (tmp_path / "prices.csv").write_text(table, encoding="utf-8")
     (tmp_path / "meta.csv").write_text(meta, encoding="utf-8")
     return str(tmp_path / "prices.csv"), str(tmp_path / "meta.csv"), len(table)
@@ -874,13 +887,24 @@ def paper_shaped_files(tmp_path_factory):
 # At most this many bytes traced per byte of the price table. Ingest holds
 # the table's text and two dates x assets matrices (8 bytes per ~12-byte
 # cell), the read matrix and its transpose, at about 2.4 table lengths; its
-# list of every line and two more matrices made 3.1. Then the surrogates
-# hold the returns and one matrix per worker, not the prices as well.
+# list of every line and two more matrices made 3.1. A forward fill that
+# built a dates x assets row index, its running maximum and a gathered copy
+# made 3.2 on a gappy table, against 2.5 from the blank cells alone. Then the
+# surrogates hold the returns and one matrix per worker, not the prices as well.
 PEAK_PER_TABLE_BYTE = 2.6
 
 
 def test_read_panel_peak_memory_is_the_text_and_two_matrices(paper_shaped_files):
     prices, meta, length = paper_shaped_files
+    assert _traced_peak(read_panel, prices, meta, 5) <= PEAK_PER_TABLE_BYTE * length
+
+
+def test_read_panel_peak_memory_on_a_gappy_table(gappy_files):
+    """The same bound with blank cells to fill and dates to drop: the
+    forward fill indexes the blank cells, not every cell of the table."""
+    prices, meta, length = gappy_files
+    panel = read_panel(prices, meta, 5)
+    assert 2400 < panel.n_dates < 2500
     assert _traced_peak(read_panel, prices, meta, 5) <= PEAK_PER_TABLE_BYTE * length
 
 
@@ -917,6 +941,21 @@ def _quoted_code_files(tmp_path, codes, n_dates=300, seed=3):
         for i, code in enumerate(codes):
             w.writerow([i + 1, code, f"name {i}", "developed", "Test"])
     return prices, meta
+
+
+def test_symmetric_matrices_print_as_their_own_transpose(tmp_path):
+    """correlation.csv and the three mode matrices are built as (m + m^T) / 2,
+    so each equals its transpose cell for cell as text, not only within a
+    tolerance."""
+    prices, meta, _ = planted_price_files(tmp_path)
+    out_dir = tmp_path / "out"
+    run_pipeline(PipelineConfig(prices_path=prices, metadata_path=meta,
+                                out_dir=str(out_dir), n_g="auto", surrogates=1))
+    for name in ("correlation.csv", "c_global.csv", "c_group.csv", "c_random.csv"):
+        header, *rows = [line.split(",") for line in (out_dir / name).read_text().splitlines()]
+        assert header[1:] == [row[0] for row in rows], name
+        cells = [row[1:] for row in rows]
+        assert cells == [list(column) for column in zip(*cells)], name
 
 
 def test_codes_needing_quotes_round_trip_through_every_csv(tmp_path):
