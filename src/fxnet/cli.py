@@ -9,7 +9,7 @@ import dataclasses
 import itertools
 import sys
 
-from . import report, tails
+from . import report
 from .report import PipelineConfig, StageError
 
 
@@ -70,17 +70,12 @@ def cmd_tails(cfg) -> None:
     """tail exponent fits and CCDF data"""
     rp = _returns(cfg)
     records = report.fit_tails(rp, cfg.tail_fraction)
-    # fits are this command's only job, so a tail that cannot be fitted fails it
-    reasons = [reason for record in records for reason in record.get("skipped", {}).values()]
-    if reasons:
-        raise StageError("tails", tails.TailFitError(reasons[0]))
-    fits = [{"code": record["code"], "side": side, **record[side]}
-            for record in records for side in tails.SIDES]
     report.write_files(cfg.out_dir, itertools.chain(
         report.ccdf_files(rp, "ccdf_{}.csv"),
-        report.json_file("tail_fits.json", {"tail_fits": fits}),
+        report.json_file("tail_fits.json", {"tail_fits": records}),
     ))
-    print(f"wrote {len(fits)} tail fits")
+    n_skipped = sum(len(record.get("skipped", ())) for record in records)
+    print(f"wrote {2 * len(records) - n_skipped} tail fits, skipped {n_skipped}")
 
 
 def cmd_spectrum(cfg) -> None:

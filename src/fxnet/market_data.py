@@ -331,8 +331,6 @@ def _forward_fill(values: np.ndarray, fill_limit: int) -> np.ndarray:
     if none); return the mask of dates whose every blank has a price at
     most `fill_limit` dates above it, counting dates that will be dropped."""
     cols, rows = np.nonzero(np.isnan(values).T)  # column by column, top down
-    if not len(rows):
-        return np.ones(len(values), dtype=bool)
     # a run of blanks ends where the column changes or a row is skipped
     starts = np.flatnonzero(np.diff(cols * (len(values) + 1) + rows, prepend=-2) != 1)
     source = np.repeat(rows[starts] - 1, np.diff(starts, append=len(rows)))

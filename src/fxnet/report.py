@@ -71,8 +71,6 @@ def _round_floats(obj: Any) -> Any:
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.12g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
@@ -383,7 +381,9 @@ def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -
     and one thread per further worker, each with one N x T buffer; numpy
     releases the GIL in the shuffles, the Gram products and the
     eigensolves. Each surrogate's results go to its own slot, so the output
-    does not depend on the number of workers."""
+    does not depend on the number of workers. Any exception that leaves the
+    calling thread's share, an interrupt included, stops the other workers
+    before their next surrogate."""
     if count == 0:
         return {"count": 0, "seed": seed}
     lo = bounds.lambda_min - BULK_MARGIN
@@ -395,13 +395,13 @@ def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -
     n_workers = min(count, _usable_cpus())
     # surrogate k -> (its eigenvalues, the components of its bulk eigenvectors)
     results: list[Any] = [None] * count
-    errors: list[Exception] = []
+    errors: list[BaseException] = []
     # allocated by the calling thread: memory a worker thread allocates stays
     # in that thread's malloc arena once freed, raising the peak of later runs
     bufs = [np.empty(rp.returns.shape) for _ in range(n_workers)]
 
     def work(first: int) -> None:
-        # surrogates first, first + n_workers, ...; stops after any worker's failure
+        # surrogates first, first + n_workers, ...; stops once `errors` has an entry
         try:
             buf = bufs[first]
             for k in range(first, count, n_workers):
@@ -420,6 +420,9 @@ def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -
             thread.start()
             threads.append(thread)
         work(0)
+    except BaseException as exc:  # an interrupt, or a thread that would not start
+        errors.append(exc)
+        raise
     finally:
         for thread in threads:
             thread.join()

@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -422,6 +423,33 @@ class TestSurrogateStage:
         assert str(err.value.cause) == f"{failing} failed"
         assert threading.active_count() == before
 
+    def test_an_interrupt_in_the_callers_share_stops_the_other_worker(self, panel, monkeypatch):
+        rp, bounds = panel
+        real = spectral.surrogate_correlation
+        caller = threading.get_ident()
+        caller_calls, worker_calls, worker_calls_at_interrupt = [], [], []
+
+        def interrupt_on_the_callers_second(*args):
+            if threading.get_ident() == caller:
+                caller_calls.append(None)
+                if len(caller_calls) == 2:
+                    worker_calls_at_interrupt.append(len(worker_calls))
+                    raise KeyboardInterrupt
+            else:
+                worker_calls.append(None)
+                time.sleep(0.02)
+            return real(*args)
+
+        monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(spectral, "surrogate_correlation", interrupt_on_the_callers_second)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            report.surrogate_stats(rp, bounds, self.SEED, 40)
+        # the surrogate the worker was in, plus one it may have begun after its
+        # stop check and before the interrupt was recorded; not the 20 of its share
+        assert len(worker_calls) <= worker_calls_at_interrupt[0] + 1
+        assert threading.active_count() == before
+
 
 _BLAS_PROBE = """
 import json, sys
@@ -488,8 +516,12 @@ class TestCli:
         assert cli_main(["tails"] + self.base(prices, meta) +
                         ["--out-dir", out_dir]) == 0
         fits = read_json_report(os.path.join(out_dir, "tail_fits.json"))["tail_fits"]
-        assert len(fits) == 8
-        assert "wrote 8 tail fits" in capsys.readouterr().out
+        assert [record["code"] for record in fits] == ["C00", "C01", "C02", "C03"]
+        for record in fits:
+            assert "skipped" not in record
+            for side in ("positive", "negative"):
+                assert set(record[side]) == {"alpha", "tail_fraction", "k", "x_min"}
+        assert capsys.readouterr().out == "wrote 8 tail fits, skipped 0\n"
 
     def test_spectrum(self, inputs, capsys):
         prices, meta, tmp_path = inputs
@@ -666,15 +698,15 @@ _PEGGED = {side: f"non-positive tail threshold on side '{side}'"
 
 
 @pytest.mark.parametrize(
-    "n_dates, pegged, skipped, first",
+    "n_dates, pegged, skipped",
     [
-        (61, False, {f"C{i:02d}": _TOO_SHORT for i in range(10)}, _TOO_SHORT["positive"]),
-        (1001, True, {"C00": _PEGGED}, _PEGGED["positive"]),
+        (61, False, {f"C{i:02d}": _TOO_SHORT for i in range(10)}),
+        (1001, True, {"C00": _PEGGED}),
     ],
     ids=["10x61", "10x1001-pegged"],
 )
-def test_a_tail_that_cannot_be_fitted_is_skipped_by_report_but_fails_tails(
-        tmp_path, capsys, n_dates, pegged, skipped, first):
+def test_report_and_tails_record_an_unfittable_tail_alike(
+        tmp_path, capsys, n_dates, pegged, skipped):
     prices, meta = _short_or_pegged_files(tmp_path, n_dates, pegged)
     io_args = ["--prices", prices, "--metadata", meta]
     out = tmp_path / "report"
@@ -690,10 +722,17 @@ def test_a_tail_that_cannot_be_fitted_is_skipped_by_report_but_fails_tails(
         for side in ("positive", "negative"):
             assert (record[side] is None) == (side in reasons)
     capsys.readouterr()
-    out = tmp_path / "tails"
-    assert cli_main(["tails", *io_args, "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == f"error [tails]: {first}\n"
-    assert not out.exists()
+    tails_out = tmp_path / "tails"
+    assert cli_main(["tails", *io_args, "--out-dir", str(tails_out)]) == 0
+    n_skipped = sum(map(len, skipped.values()))
+    assert capsys.readouterr() == (f"wrote {20 - n_skipped} tail fits, skipped {n_skipped}\n", "")
+    assert read_json_report(tails_out / "tail_fits.json") == {
+        "schema_version": payload["schema_version"], "tail_fits": payload["tail_fits"]}
+    ccdf = sorted(os.listdir(out / "ccdf"))
+    assert sorted(os.listdir(tails_out)) == sorted(
+        ["tail_fits.json", *(f"ccdf_{name}" for name in ccdf)])
+    for name in ccdf:
+        assert (tails_out / f"ccdf_{name}").read_bytes() == (out / "ccdf" / name).read_bytes(), name
 
 
 def test_a_panel_with_fewer_dates_than_assets_runs_report_to_the_end(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from conftest import normalized_noise_panel, panel_from_returns, planted_group_panel
+from conftest import make_assets, normalized_noise_panel, panel_from_returns, planted_group_panel
+from fxnet.market_data import PanelError, ReturnPanel
 from fxnet.spectral import (
     _shuffle_rows,
     correlation_matrix,
@@ -50,6 +52,11 @@ class TestCorrelationMatrix:
         assert np.abs(np.diag(c) - 1.0).max() < 1e-12
         assert c.min() >= -1 - 1e-12 and c.max() <= 1 + 1e-12
         assert np.trace(c) == pytest.approx(8.0, abs=1e-12)
+
+    def test_one_step_rejected(self):
+        rp = ReturnPanel(assets=make_assets(2), returns=np.ones((2, 1)), sigma=np.ones(2))
+        with pytest.raises(PanelError, match="need at least 2 time steps"):
+            correlation_matrix(rp)
 
     def test_read_only_and_not_aliased(self, rng):
         rp = normalized_noise_panel(rng, 6, 50)
@@ -306,6 +313,31 @@ class TestShuffleSurrogate:
         # rows as drawn: a single step has no std to divide by
         returns = np.random.default_rng(t).standard_normal((4, t))
         assert np.array_equal(shuffled(returns, seed), shuffle_surrogate_gather(returns, seed))
+
+    # SHA-256 of the float64 little-endian bytes of row `row` of
+    # np.arange(50.0) rows after _shuffle_rows(rows, seed), and of the uint64
+    # little-endian bytes of derive_seeds(seed, count): numpy does not promise
+    # that its Generator streams stay the same across versions (NEP 19), and
+    # these digests show whether the surrogate streams have changed
+    @pytest.mark.parametrize("seed, row, digest", [
+        (0, 0, "02ed5d78255b2628212e4db7a16d4385eeca2c280eed6039286f0afdb42db52a"),
+        (1, 3, "5e1e0a0787dac2af4b559bd834ee9d2829ff264ec5cbcc7d3b3924225f8bed28"),
+        (20120430, 1, "bb8fcd6bcc3bf47d9520ad9eeafc9af963252b5852fb512b0321005bfe7d207d"),
+        (2**64 - 1, 2, "8f0781372771722706ca3d96bd4ad29666452d6c545f9a981220dab044e08931"),
+    ], ids=["seed0-row0", "seed1-row3", "seed20120430-row1", "seed2**64-1-row2"])
+    def test_shuffle_stream_is_pinned(self, seed, row, digest):
+        rows = np.tile(np.arange(50.0), (row + 1, 1))
+        _shuffle_rows(rows, seed)
+        assert hashlib.sha256(rows[row].astype("<f8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, count, digest", [
+        (0, 4, "d1dc8abad612fe44a7248fafc370e13573283627771ab88c4396a36d417c9175"),
+        (20120430, 10, "9fe1b20f160e067df18c4c01ce8b02c53552e282f9213c3f2ef3fb14a475c2d9"),
+        (2**32, 3, "335e8507c0453e0cd33a53451acfd0834f4b925cc4db998c612622cca3d1664d"),
+    ], ids=["seed0-count4", "seed20120430-count10", "seed2**32-count3"])
+    def test_derive_seeds_stream_is_pinned(self, seed, count, digest):
+        seeds = np.array(derive_seeds(seed, count), dtype="<u8")
+        assert hashlib.sha256(seeds.tobytes()).hexdigest() == digest
 
     def test_derive_seeds_deterministic(self):
         assert derive_seeds(7, 5) == derive_seeds(7, 5)

@@ -58,6 +58,13 @@ class TestHillEstimate:
         with pytest.raises(TailFitError, match="zero log-spacing"):
             hill_estimate(np.full(20, 2.0), 2.0)
 
+    @pytest.mark.parametrize("tail, x_min", [([2.0, 3.0], 0.0), ([2.0, 3.0], -1.0),
+                                             ([2.0, 0.0], 1.0), ([2.0, -3.0], 1.0)],
+                             ids=["x_min-zero", "x_min-negative", "tail-zero", "tail-negative"])
+    def test_non_positive_input_rejected(self, tail, x_min):
+        with pytest.raises(TailFitError, match="tail values and x_min must be positive"):
+            hill_estimate(np.array(tail), x_min)
+
     def test_exact_recovery_on_constructed_spacings(self):
         # mean log-excess exactly 1/alpha recovers alpha exactly
         alpha = 2.5
@@ -102,6 +109,11 @@ class TestFitTailExponent:
         for frac in (0.0, -0.1, 0.6):
             with pytest.raises(TailFitError, match="tail_fraction"):
                 fit_tail_exponent(samples, "positive", frac)
+
+    def test_unknown_side_rejected(self, rng):
+        match = r"side must be one of \('positive', 'negative'\), got 'up'"
+        with pytest.raises(TailFitError, match=match):
+            fit_tail_exponent(pareto_samples(rng, 500, 3.0), side="up")
 
     def test_non_positive_threshold_rejected(self, rng):
         samples = np.concatenate([-np.abs(rng.standard_normal(450)), pareto_samples(rng, 50, 3.0)])
