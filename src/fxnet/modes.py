@@ -23,8 +23,6 @@ class ModeDecomposition:
 def _mode_sum(sd: SpectralDecomposition, start: int, stop: int) -> np.ndarray:
     """Sum of (lambda_j / N) u_j u_j^T over j in [start, stop)."""
     n = sd.size
-    if start >= stop:
-        return np.zeros((n, n))
     u = sd.eigenvectors[start:stop]  # rows
     w = sd.eigenvalues[start:stop] / n
     m = (u.T * w) @ u

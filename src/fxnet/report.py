@@ -431,6 +431,7 @@ def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -
         raise errors[0]
     vals = np.concatenate([lam for lam, _ in results])
     components = np.concatenate([c for _, c in results])
+    results.clear()  # before the KS statistic's sorted copy of the pool
     ks = spectral.normal_ks_statistic(components) if components.size else None
     return {
         "count": count,

@@ -14,6 +14,7 @@ import numpy as np
 from .market_data import PanelError, ReturnPanel, _freeze
 
 SYMMETRY_TOL = 1e-12
+_KS_CHUNK = 1 << 14  # sample values per chunk of normal_ks_statistic
 
 # (setter, getter) of the thread count of the OpenBLAS in numpy's wheels:
 # scipy-openblas in numpy >= 2, OpenBLAS in numpy 1.x
@@ -112,7 +113,6 @@ def _correlation_of(buf: np.ndarray) -> np.ndarray:
         raise PanelError("need at least 2 time steps")
     buf -= buf.mean(axis=1, keepdims=True)
     c = buf @ buf.T / t
-    c = (c + c.T) / 2.0
     np.fill_diagonal(c, 1.0)
     _check_correlation(c)
     return _freeze(c)
@@ -169,10 +169,13 @@ def normal_ks_statistic(sample: np.ndarray) -> float:
     Phi(x) = erfc(-x / sqrt 2) / 2."""
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
-    phi = 0.5 * np.fromiter(map(math.erfc, (-x / math.sqrt(2.0)).tolist()), float, n)
-    d_plus = np.max(np.arange(1.0, n + 1) / n - phi)
-    d_minus = np.max(phi - np.arange(0.0, n) / n)
-    return float(max(d_plus, d_minus))
+    d = 0.0
+    for start in range(0, n, _KS_CHUNK):  # one chunk's temporaries at a time
+        xc = x[start:start + _KS_CHUNK]
+        phi = 0.5 * np.fromiter(map(math.erfc, (-xc / math.sqrt(2.0)).tolist()), float, xc.size)
+        i = np.arange(start, start + xc.size)
+        d = max(d, np.max((i + 1) / n - phi), np.max(phi - i / n))
+    return float(d)
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:

@@ -16,49 +16,90 @@ eigenpair of either run has a residual of at most eta = 10 n eps ||C||_2, the
 bound `test_spectral` checks, so the eigenvalues agree within 2 eta (Weyl)
 and eigenvector j within sin theta_j <= 2 eta / gap_j (Davis-Kahan). Every
 printed number may also differ by the `%.12g` rounding of both runs.
+
+scipy bundles its own OpenBLAS, a second build beside numpy's, so the module
+checks the contract across builds offline: the fresh tree is made once with
+numpy's eigensolver and once with each of two of scipy's LAPACK drivers
+(`TestScipyEigensolvers`), and C is built a second time with scipy's BLAS
+(`test_c_from_scipys_dsyrk_prints_the_committed_files`).
 """
 
+import functools
 import math
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 from fxnet.report import (
     HISTOGRAM_BINS,
     PipelineConfig,
+    build_mst,
     correlate,
+    decompose,
+    graph_files,
     panel_returns,
     read_panel,
     run_pipeline,
     spectrum,
+    spectrum_files,
 )
 from oracles import read_json_report, read_pajek
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 EPS = np.finfo(float).eps
 ROUND = 0.5e-11  # the relative rounding of a `%.12g` cell
+# the fresh tree's eigensolver, put in place of numpy.linalg.eigh by name:
+# numpy's own, which wrote the committed tree; scipy's divide and conquer
+# `evd`, the algorithm numpy runs; and scipy's MRRR `evr`, another algorithm
+EIGENSOLVERS = {
+    "numpy": np.linalg.eigh,
+    "evd": functools.partial(scipy.linalg.eigh, driver="evd"),
+    "evr": functools.partial(scipy.linalg.eigh, driver="evr"),
+}
 
 
-@pytest.fixture(scope="module")
-def trees(tmp_path_factory):
-    """(committed tree, fresh tree)."""
-    out = tmp_path_factory.mktemp("golden") / "report"
-    run_pipeline(PipelineConfig(str(GOLDEN / "prices.csv"), str(GOLDEN / "meta.csv"), str(out),
-                                surrogates=0))
+def _golden_config(out_dir=""):
+    return PipelineConfig(str(GOLDEN / "prices.csv"), str(GOLDEN / "meta.csv"), out_dir,
+                          surrogates=0)
+
+
+def _golden_returns():
+    cfg = _golden_config()
+    return panel_returns(read_panel(cfg.prices_path, cfg.metadata_path, cfg.fill_limit), cfg.delta)
+
+
+def _trees(tmp_path_factory, solver):
+    """(committed tree, fresh tree), the fresh one with EIGENSOLVERS[solver]."""
+    out = tmp_path_factory.mktemp(f"golden-{solver}") / "report"
+    with mock.patch("numpy.linalg.eigh", EIGENSOLVERS[solver]):
+        run_pipeline(_golden_config(str(out)))
     return GOLDEN / "report", out
 
 
 @pytest.fixture(scope="module")
+def trees(tmp_path_factory):
+    return _trees(tmp_path_factory, "numpy")
+
+
+@pytest.fixture(scope="module")
 def bounds(trees):
+    return _bounds(trees, "numpy")
+
+
+def _bounds(trees, solver):
     """How far each eigensolver-derived quantity of two runs may differ:
     "weyl" for an eigenvalue, "vector"[j] for a cell of eigenvector j as
     printed (sum of squares N), and for a cell of each mode matrix c_<part>
-    the 2-norm bound of that matrix's change."""
-    cfg = PipelineConfig(str(GOLDEN / "prices.csv"), str(GOLDEN / "meta.csv"), "")
-    rp = panel_returns(read_panel(cfg.prices_path, cfg.metadata_path, cfg.fill_limit), cfg.delta)
+    the 2-norm bound of that matrix's change. The run of EIGENSOLVERS[solver]
+    must itself be backward stable."""
+    rp = _golden_returns()
     c = correlate(rp)
-    sd, _ = spectrum(c, rp.n_steps)
+    with mock.patch("numpy.linalg.eigh", EIGENSOLVERS[solver]):
+        sd, _ = spectrum(c, rp.n_steps)
     n = c.shape[0]
     lam, u = sd.eigenvalues, sd.eigenvectors.T / math.sqrt(n)
     eta = 10 * n * EPS * np.linalg.norm(c, 2)
@@ -216,3 +257,82 @@ def test_report_json_numbers_within_their_bounds(trees, bounds):
             # each moves by at most the largest change of an element
             tolerance["modes", "element_stats", part, stat] = bounds[part]
     _walk(golden, fresh, (), tolerance)
+
+
+def test_c_from_scipys_dsyrk_prints_the_committed_files():
+    """C built a second way, by scipy's OpenBLAS, prints the committed
+    correlation.csv, mst.net and mst.json. `dsyrk` fills one triangle of the
+    centred returns' Gram product, which is mirrored, divided by T and given
+    a unit diagonal, as `_correlation_of` does; numpy computes the product as
+    a rank-k update too and copies the triangle itself. Some of the entries
+    may differ from numpy's in their last bits (52 of 144 with numpy 2.4's
+    and scipy 1.17's wheels), but not at the printed digits."""
+    rp = _golden_returns()
+    centred = rp.returns - rp.returns.mean(axis=1, keepdims=True)
+    upper = dsyrk(1.0, centred)  # the strict lower triangle is left at zero
+    c = (upper + np.triu(upper, 1).T) / rp.n_steps
+    np.fill_diagonal(c, 1.0)
+    sd, _ = spectrum(c, rp.n_steps)
+    mst, _ = build_mst(c, rp.assets, _golden_config().hub_sigma)
+    fresh = dict(spectrum_files(rp.assets, c, sd)) | dict(graph_files(mst))
+    for rel in ("correlation.csv", "mst.net", "mst.json"):
+        assert fresh[rel] == (GOLDEN / "report" / rel).read_text(encoding="utf-8"), rel
+
+
+class TestScipyEigensolvers:
+    """The checks above on fresh trees whose eigenpairs come from scipy's
+    OpenBLAS: each tree keeps the bytes of the files from the returns and C,
+    and stays within the bounds of two backward stable solvers elsewhere."""
+
+    @pytest.fixture(scope="class", params=["evd", "evr"])
+    def solver(self, request):
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def trees(self, tmp_path_factory, solver):
+        return _trees(tmp_path_factory, solver)
+
+    @pytest.fixture(scope="class")
+    def bounds(self, trees, solver):
+        return _bounds(trees, solver)
+
+    test_files_from_the_returns_and_c_keep_their_bytes = staticmethod(
+        test_files_from_the_returns_and_c_keep_their_bytes)
+    test_spectrum_and_eigenvectors_within_weyl_and_davis_kahan = staticmethod(
+        test_spectrum_and_eigenvectors_within_weyl_and_davis_kahan)
+    test_mode_matrices_within_their_terms_bounds = staticmethod(
+        test_mode_matrices_within_their_terms_bounds)
+    test_histograms_count_the_same_elements = staticmethod(
+        test_histograms_count_the_same_elements)
+    test_threshold_edges_match_and_weights_within_the_group_bound = staticmethod(
+        test_threshold_edges_match_and_weights_within_the_group_bound)
+    test_report_json_numbers_within_their_bounds = staticmethod(
+        test_report_json_numbers_within_their_bounds)
+
+    def test_unprinted_numbers_within_the_bounds(self, bounds, solver):
+        """The checks above compare printed cells, within the bounds plus the
+        `%.12g` rounding of both runs, and on this panel `evr` moves no cell
+        by more than that rounding. So compare the eigenpairs and the mode
+        matrices of the two solvers before they are printed, within the
+        bounds alone."""
+        rp = _golden_returns()
+        c = correlate(rp)
+        runs = []
+        for name in ("numpy", solver):
+            with mock.patch("numpy.linalg.eigh", EIGENSOLVERS[name]):
+                sd, rmt = spectrum(c, rp.n_steps)
+            runs.append((sd, decompose(sd, rmt, _golden_config().n_g)[0]))
+        (sd, md), (sd2, md2) = runs
+        assert np.all(np.abs(sd.eigenvalues - sd2.eigenvalues) <= bounds["weyl"])
+        for j, (a, b) in enumerate(zip(sd.eigenvectors, sd2.eigenvectors)):
+            assert np.all(np.abs(a - np.sign(a @ b) * b) <= bounds["vector"][j]), j
+        for part in ("global", "group", "random"):
+            m, m2 = getattr(md, f"c_{part}"), getattr(md2, f"c_{part}")
+            assert np.all(np.abs(m - m2) <= bounds[part]), part
+
+    @pytest.mark.parametrize("solver", ["evr"], indirect=True)
+    def test_evr_changes_some_bytes(self, trees):
+        """At least one file of the `evr` tree differs from the committed one,
+        so its checks above compare numbers that differ."""
+        golden, fresh = map(_files, trees)
+        assert any(golden[rel] != fresh[rel] for rel in golden)

@@ -33,11 +33,13 @@ class TestDecomposeModes:
         _, sd = spectrum_of(rng, 6)
         md = decompose_modes(sd, 0)
         assert np.abs(md.c_group).max() == 0.0
+        assert md.c_group.tobytes() == np.zeros((6, 6)).tobytes()  # +0.0, which prints as 0
 
     def test_all_groups_leaves_empty_random(self, rng):
         _, sd = spectrum_of(rng, 6)
         md = decompose_modes(sd, 5)
         assert np.abs(md.c_random).max() < 1e-8
+        assert md.c_random.tobytes() == np.zeros((6, 6)).tobytes()  # +0.0, which prints as 0
 
     def test_reconstruction(self, rng):
         cm, sd = spectrum_of(rng, 8)

@@ -450,6 +450,27 @@ class TestSurrogateStage:
         assert len(worker_calls) <= worker_calls_at_interrupt[0] + 1
         assert threading.active_count() == before
 
+    def test_peak_memory_is_the_pool_and_its_sorted_copy(self, monkeypatch):
+        """At 40 surrogates of a `wide`-shaped panel, 250 x 750, the traced
+        peak is at most 16 bytes per pooled eigenvector component (the pool
+        and the KS statistic's sorted copy of it) plus the workers' N x T
+        buffers: each surrogate's part goes once the parts are concatenated,
+        and the KS statistic's temporaries come a chunk at a time."""
+        n, t, workers = 250, 750, 2
+        rp = normalized_noise_panel(np.random.default_rng(79), n, t)
+        pooled = []
+        real = spectral.normal_ks_statistic
+
+        def recording(sample):
+            pooled.append(sample.size)
+            return real(sample)
+
+        monkeypatch.setattr(report, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(spectral, "normal_ks_statistic", recording)
+        peak = _traced_peak(report.surrogate_stats, rp, spectral.rmt_bounds(n, t), self.SEED, 40)
+        assert pooled[0] > 2_000_000
+        assert peak <= 16 * pooled[0] + workers * 8 * n * t
+
 
 _BLAS_PROBE = """
 import json, sys
@@ -983,9 +1004,10 @@ def _quoted_code_files(tmp_path, codes, n_dates=300, seed=3):
 
 
 def test_symmetric_matrices_print_as_their_own_transpose(tmp_path):
-    """correlation.csv and the three mode matrices are built as (m + m^T) / 2,
-    so each equals its transpose cell for cell as text, not only within a
-    tolerance."""
+    """correlation.csv is numpy's Gram product of one buffer with itself,
+    which numpy makes symmetric, and the three mode matrices are built as
+    (m + m^T) / 2, so each equals its transpose cell for cell as text, not
+    only within a tolerance."""
     prices, meta, _ = planted_price_files(tmp_path)
     out_dir = tmp_path / "out"
     run_pipeline(PipelineConfig(prices_path=prices, metadata_path=meta,

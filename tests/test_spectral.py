@@ -9,6 +9,7 @@ from scipy import stats
 from conftest import make_assets, normalized_noise_panel, panel_from_returns, planted_group_panel
 from fxnet.market_data import PanelError, ReturnPanel
 from fxnet.spectral import (
+    _KS_CHUNK,
     _shuffle_rows,
     correlation_matrix,
     derive_seeds,
@@ -282,6 +283,15 @@ class TestNormalKsStatistic:
         x = np.concatenate([edges, np.clip(x, -40.0, 40.0)])[:5000]
         expected = stats.kstest(x, "norm").statistic
         assert abs(normal_ks_statistic(x) - expected) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [_KS_CHUNK - 1, _KS_CHUNK, _KS_CHUNK + 1, 3 * _KS_CHUNK + 7])
+    def test_chunks_give_the_one_pass_value(self, n):
+        """The largest of the chunks' maxima is the maximum over the whole
+        sorted sample in one pass, bit for bit."""
+        x = np.sort(np.random.default_rng(n).standard_normal(n))
+        phi = 0.5 * np.array([math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+        one_pass = max(np.max(np.arange(1.0, n + 1) / n - phi), np.max(phi - np.arange(0.0, n) / n))
+        assert normal_ks_statistic(x) == one_pass
 
 
 def shuffled(returns, seed):
