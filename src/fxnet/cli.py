@@ -94,8 +94,7 @@ def cmd_spectrum(cfg) -> None:
 def cmd_decompose(cfg) -> None:
     """global/group/random mode decomposition"""
     rp, c, md = _split(cfg)
-    hists = report.histograms(c, md)
-    report.write_files(cfg.out_dir, report.modes_files(rp.assets, md, hists))
+    report.write_files(cfg.out_dir, report.modes_files(rp.assets, c, md))
     print(f"decomposed with n_g={md.n_g}")
 
 

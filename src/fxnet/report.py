@@ -217,16 +217,18 @@ def spectrum_files(
     yield "correlation.csv", export_matrix_csv(c, assets, codes)
 
 
-def modes_files(
-    assets: tuple[AssetMeta, ...],
-    md: ModeDecomposition,
-    hists: dict[str, list[tuple[float, float]]],
-) -> Files:
+def _parts(c: np.ndarray, md: ModeDecomposition) -> dict[str, np.ndarray]:
+    return {"full": c, "global": md.c_global, "group": md.c_group, "random": md.c_random}
+
+
+def modes_files(assets: tuple[AssetMeta, ...], c: np.ndarray, md: ModeDecomposition) -> Files:
+    """The three parts of C, and the element histogram of C and of each part."""
     codes = [a.code for a in assets]
     for part in ("global", "group", "random"):
         yield f"c_{part}.csv", export_matrix_csv(getattr(md, f"c_{part}"), assets, codes)
     yield "histograms.csv", _csv(["bin_center", "density", "component"], [
-        (c, d, name) for name, hist in hists.items() for c, d in hist])
+        (x, d, name) for name, m in _parts(c, md).items()
+        for x, d in modes.element_histogram(m, HISTOGRAM_BINS)])
 
 
 def graph_files(g: Graph, sweep: SweepResult | None = None) -> Files:
@@ -334,7 +336,8 @@ def fit_tails(rp: ReturnPanel, tail_fraction: float) -> list[dict[str, Any]]:
     """Per asset: its code and, under each side, the Hill fit of that tail, or
     None for a tail that cannot be fitted (a short series, or a pegged one
     whose threshold is not positive). Only a record with such a side has
-    "skipped", mapping the side to the TailFitError text."""
+    "skipped", mapping the side to the TailFitError text. A tail_fraction
+    outside (0, 0.5] is a setting, not a fact of the data: it raises."""
     records = []
     for meta, row in zip(rp.assets, rp.returns):
         record: dict[str, Any] = {"code": meta.code}
@@ -413,6 +416,12 @@ def surrogate_stats(rp: ReturnPanel, bounds: RmtBounds, seed: int, count: int) -
         except Exception as exc:
             errors.append(exc)
 
+    # the calling thread takes a share, rather than a concurrent.futures pool
+    # doing all the work: a pool gave the same bytes in the same time, but all
+    # its threads are new, and a thread's first BLAS call costs about 4 MB
+    # (4.4 MB for one 250 x 250 eigh), which took one `report`'s peak RSS from
+    # 50.7 to about 54.5 MB on a 74 x 6035 panel with 2 CPUs; a pool's threads
+    # also start lazily, so a run could use fewer than n_workers of them
     threads = []
     try:
         for first in range(1, n_workers):
@@ -455,18 +464,6 @@ def decompose(
     n_g_auto = modes.select_ng(sd, bounds)
     n_g_used = n_g_auto if n_g == "auto" else min(int(n_g), sd.size - 1)
     return modes.decompose_modes(sd, n_g_used), n_g_auto
-
-
-def _parts(c: np.ndarray, md: ModeDecomposition) -> dict[str, np.ndarray]:
-    return {"full": c, "global": md.c_global, "group": md.c_group, "random": md.c_random}
-
-
-@_stage("decomposition")
-def histograms(c: np.ndarray, md: ModeDecomposition) -> dict[str, list[tuple[float, float]]]:
-    """Element histograms of C and of each of its three parts."""
-    return {
-        name: modes.element_histogram(m, HISTOGRAM_BINS) for name, m in _parts(c, md).items()
-    }
 
 
 def default_threshold_grid(c_group: np.ndarray) -> np.ndarray:
@@ -604,7 +601,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     sd, bounds = spectrum(c, rp.n_steps)
     surrogate_summary = surrogate_stats(rp, bounds, cfg.seed, cfg.surrogates)
     md, n_g_auto = decompose(sd, bounds, cfg.n_g)
-    hists = histograms(c, md)
     mst, mst_report = build_mst(c, rp.assets, cfg.hub_sigma)
     tnet, tnet_report, sweep, c_th_used = build_threshold(
         md.c_group, rp.assets, cfg.c_th, cfg.hub_sigma
@@ -661,7 +657,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     write_files(cfg.out_dir, itertools.chain(
         json_file("report.json", payload),
         spectrum_files(rp.assets, c, sd),
-        modes_files(rp.assets, md, hists),
+        modes_files(rp.assets, c, md),
         graph_files(mst),
         graph_files(tnet, sweep),
         ccdf_files(rp, os.path.join("ccdf", "{}.csv")),

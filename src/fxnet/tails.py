@@ -41,7 +41,7 @@ def hill_estimate(tail_values: np.ndarray, x_min: float) -> float:
 
 def _side_values(samples: np.ndarray, side: str) -> np.ndarray:
     if side not in SIDES:
-        raise TailFitError(f"side must be one of {SIDES}, got {side!r}")
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     samples = np.asarray(samples, dtype=float)
     return -samples if side == "negative" else samples
 
@@ -54,14 +54,16 @@ def fit_tail_exponent(
     """Hill estimate over the top `tail_fraction` order statistics of one tail.
 
     x_min is the largest order statistic excluded from the tail; tied values at
-    x_min are dropped so that every tail point lies strictly above it.
+    x_min are dropped so that every tail point lies strictly above it. A bad
+    `side` or `tail_fraction` is a ValueError; a TailFitError means the fit is
+    infeasible on these samples.
     """
     x = _side_values(samples, side)
+    if not 0 < tail_fraction <= 0.5:
+        raise ValueError(f"tail_fraction must be in (0, 0.5], got {tail_fraction}")
     n = x.size
     if n < MIN_SAMPLES:
         raise TailFitError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    if not 0 < tail_fraction <= 0.5:
-        raise TailFitError(f"tail_fraction must be in (0, 0.5], got {tail_fraction}")
     k = math.ceil(tail_fraction * n)
     xs = np.sort(x)
     x_min = float(xs[n - k - 1])

@@ -29,10 +29,10 @@ from conftest import (
     random_walk_table,
     synthetic_price_files,
 )
-from fxnet import market_data, report, spectral
+from fxnet import cli, market_data, report, spectral
 from fxnet.cli import main as cli_main
 from fxnet.market_data import ReturnPanel
-from fxnet.modes import ModeDecomposition
+from fxnet.modes import ModeDecomposition, element_histogram
 from fxnet.network import Graph
 from fxnet.report import (
     PipelineConfig,
@@ -152,25 +152,14 @@ class TestGraphJsonExport:
             export_graph_json(g)
 
 
-def histograms_text(hists):
-    """histograms.csv as modes_files yields it, for a one-asset decomposition."""
-    md = ModeDecomposition(n_g=0, c_global=np.ones((1, 1)), c_group=np.zeros((1, 1)),
-                           c_random=np.zeros((1, 1)))
-    return dict(modes_files(make_assets(1), md, hists))["histograms.csv"]
-
-
 class TestHistogramExport:
-    def test_empty_dict_header_only(self):
-        assert histograms_text({}) == "bin_center,density,component\n"
-
     def test_reread_density_normalized(self, rng):
-        from fxnet.modes import element_histogram
-
         m = rng.standard_normal((12, 12))
         m = (m + m.T) / 2
-        hist = element_histogram(m, bins=21)
-        text = histograms_text({"full": hist})
-        rows = [line.split(",") for line in text.splitlines()[1:]]
+        zero = np.zeros((12, 12))
+        md = ModeDecomposition(n_g=0, c_global=zero, c_group=zero, c_random=zero)
+        text = dict(modes_files(make_assets(12), m, md))["histograms.csv"]
+        rows = [line.split(",") for line in text.splitlines() if line.endswith(",full")]
         centers = np.array([float(r[0]) for r in rows])
         densities = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(centers) > 0)
@@ -275,6 +264,15 @@ class TestRunPipeline:
         with pytest.raises(StageError) as err:
             run_pipeline(cfg)
         assert err.value.stage == "tails"
+
+    @pytest.mark.parametrize("n_steps", [50, 300])
+    def test_fit_tails_raises_on_a_bad_tail_fraction(self, rng, n_steps):
+        """A tail_fraction outside (0, 0.5] is a bad setting, not a tail that
+        cannot be fitted: a direct call raises, whatever the series' length."""
+        with pytest.raises(StageError) as err:
+            report.fit_tails(normalized_noise_panel(rng, 3, n_steps), 0.9)
+        assert err.value.stage == "tails"
+        assert str(err.value) == "stage 'tails' failed: tail_fraction must be in (0, 0.5], got 0.9"
 
     def test_lapack_failure_raises_spectrum_stage(self, tmp_path, monkeypatch):
         def fail(_):
@@ -505,6 +503,18 @@ def test_stages_run_on_one_blas_thread_and_restore_the_count(tmp_path):
     assert json.loads(proc.stdout) == {"before": 2, "inside": [1], "after": 2}
 
 
+@pytest.mark.parametrize("known", [True, False], ids=["openblas", "no-setter"])
+def test_one_blas_thread_sets_only_a_known_setter(monkeypatch, known):
+    """With a known setter, the body runs on one thread and the count comes
+    back; a BLAS without one (MKL, Accelerate) is left as it is."""
+    calls = []
+    fns = (calls.append, lambda: 3) if known else None
+    monkeypatch.setattr(spectral, "_blas_threads", lambda: fns)
+    with spectral._one_blas_thread():
+        calls.append("body")
+    assert calls == ([1, "body", 3] if known else ["body"])
+
+
 class TestCli:
     @pytest.fixture()
     def inputs(self, tmp_path):
@@ -622,6 +632,15 @@ class TestCli:
         assert code == 1
         assert "error [tails]" in capsys.readouterr().err
 
+    def test_an_error_outside_a_stage_exits_1_with_its_text(self, inputs, capsys, monkeypatch):
+        def fail(cfg):
+            raise OSError("no room left")
+
+        monkeypatch.setitem(cli.COMMANDS, "ingest", (fail, ()))
+        prices, meta, _ = inputs
+        assert cli_main(["ingest"] + self.base(prices, meta)) == 1
+        assert capsys.readouterr() == ("", "error: no room left\n")
+
 
 def _all_files(root):
     return {
@@ -642,12 +661,12 @@ class TestSubcommandsMatchReport:
 
     SUBCOMMANDS = ("returns", "tails", "spectrum", "decompose", "mst", "threshnet")
 
-    def test_shared_files_byte_identical(self, tmp_path, capsys):
-        prices, meta = synthetic_price_files(tmp_path)
+    def shared_files(self, tmp_path, prices, meta, *report_flags):
+        """The files each subcommand shares with `report`, after requiring
+        their bytes to be equal."""
         io_args = ["--prices", prices, "--metadata", meta]
         rep_dir = str(tmp_path / "report")
-        assert cli_main(["report", *io_args, "--out-dir", rep_dir,
-                         "--surrogates", "1"]) == 0
+        assert cli_main(["report", *io_args, "--out-dir", rep_dir, *report_flags]) == 0
         from_report = _all_files(rep_dir)
         compared = {}
         for cmd in self.SUBCOMMANDS:
@@ -664,6 +683,21 @@ class TestSubcommandsMatchReport:
             rel for rels in compared.values() for rel in rels
         }
         assert set(compared) == set(self.SUBCOMMANDS) - {"returns"}
+        return compared
+
+    def test_shared_files_byte_identical(self, tmp_path, capsys):
+        prices, meta = synthetic_price_files(tmp_path)
+        self.shared_files(tmp_path, prices, meta, "--surrogates", "1")
+
+    def test_shared_files_byte_identical_at_default_settings(self, tmp_path, capsys,
+                                                              gappy_files):
+        """At every default setting (10 surrogates, n_g 6, a swept cutoff), on
+        a table of the benchmark's `stages` shape whose blank cells are filled
+        and whose outages drop dates."""
+        prices, meta, _ = gappy_files
+        compared = self.shared_files(tmp_path, prices, meta)
+        assert {cmd: len(rels) for cmd, rels in compared.items()} == {
+            "tails": 200, "spectrum": 3, "decompose": 4, "mst": 2, "threshnet": 3}
 
 
 def _corrupt_prices(prices, meta):
@@ -1055,12 +1089,13 @@ def test_every_csv_equals_the_csv_module_text_of_its_rows(rng):
     cm = report.correlate(rp)
     sd, bounds = report.spectrum(cm, rp.n_steps)
     md, _ = report.decompose(sd, bounds, 2)
-    hists = report.histograms(cm, md)
     tnet, _, sweep, _ = report.build_threshold(md.c_group, assets, "auto", 2.0)
     assert sweep.entries
 
     def by_code(m):
         return [(c, *r) for c, r in zip(codes, m.tolist())]
+
+    parts = {"full": cm, "global": md.c_global, "group": md.c_group, "random": md.c_random}
 
     expected = {
         "spectrum.csv": csv_text(["index", "eigenvalue"], enumerate(sd.eigenvalues.tolist())),
@@ -1070,7 +1105,8 @@ def test_every_csv_equals_the_csv_module_text_of_its_rows(rng):
         **{f"c_{part}.csv": csv_text(["code", *codes], by_code(getattr(md, f"c_{part}")))
            for part in ("global", "group", "random")},
         "histograms.csv": csv_text(["bin_center", "density", "component"],
-                                   [(c, d, name) for name, h in hists.items() for c, d in h]),
+                                   [(c, d, name) for name, m in parts.items()
+                                    for c, d in element_histogram(m, report.HISTOGRAM_BINS)]),
         "sweep.csv": csv_text(["c_th", "n_active", "n_components", "clustered", "sizes"],
                               [(e.c_th, e.n_active, e.n_components, e.clustered,
                                 ";".join(map(str, e.sizes))) for e in sweep.entries]),
@@ -1080,7 +1116,7 @@ def test_every_csv_equals_the_csv_module_text_of_its_rows(rng):
     }
     files = dict(itertools.chain(
         report.spectrum_files(assets, cm, sd),
-        report.modes_files(assets, md, hists),
+        report.modes_files(assets, cm, md),
         report.graph_files(tnet, sweep),
         report.returns_files(rp),
     ))
