@@ -231,12 +231,11 @@ def _read_prices_vectorised(
     start = raw_table.find("\n") + 1
     if not start or raw_table.find("n", start) >= 0 or raw_table.find("N", start) >= 0:
         return None
-    field_limit = csv.field_size_limit()
     dates: list[datetime.date] = []
     parts: list[np.ndarray] = []
     while start < len(raw_table):
         stop = raw_table.find("\n", start + _CHUNK) + 1 or len(raw_table)
-        read = _blanks_as_nan(raw_table[start:stop], field_limit)
+        read = _blanks_as_nan(raw_table[start:stop])
         start = stop
         if read is None:
             return None
@@ -260,11 +259,11 @@ def _read_prices_vectorised(
     return dates, np.concatenate(parts)
 
 
-def _blanks_as_nan(chunk: str, field_limit: int) -> tuple[str, int] | None:
+def _blanks_as_nan(chunk: str) -> tuple[str, int] | None:
     """`chunk`, whole lines of an ASCII price table, with each empty cell
     after a comma written as `nan`, and its number of commas; None if it
-    holds a line longer than `field_limit` or a byte below `"!"` other than
-    the line end `\\n`."""
+    holds a line longer than the csv field limit or a byte below `"!"` other
+    than the line end `\\n`."""
     if not chunk.endswith("\n"):
         chunk += "\n"
     b = np.frombuffer(chunk.encode("ascii"), np.uint8)
@@ -272,7 +271,7 @@ def _blanks_as_nan(chunk: str, field_limit: int) -> tuple[str, int] | None:
     newline = b == ord("\n")
     ends = np.flatnonzero(newline)
     if (np.count_nonzero(b <= ord(" ")) != len(ends)
-            or np.diff(ends, prepend=-1).max() - 1 > field_limit):
+            or np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit()):
         return None
     # a blank cell is a comma and then a comma or a line end
     cuts = [0, *(np.flatnonzero(comma[:-1] & (comma | newline)[1:]) + 1).tolist(), len(chunk)]

@@ -333,11 +333,12 @@ def panel_returns(panel: PricePanel, delta: int) -> ReturnPanel:
 
 @_stage("tails")
 def fit_tails(rp: ReturnPanel, tail_fraction: float) -> list[dict[str, Any]]:
-    """Per asset: its code and, under each side, the Hill fit of that tail, or
-    None for a tail that cannot be fitted (a short series, or a pegged one
-    whose threshold is not positive). Only a record with such a side has
-    "skipped", mapping the side to the TailFitError text. A tail_fraction
-    outside (0, 0.5] is a setting, not a fact of the data: it raises."""
+    """Per asset: its code and, under each side, the fields of that tail's
+    TailFit, or None for a tail that cannot be fitted (a short series, or a
+    pegged one whose threshold is not positive). Only a record with such a
+    side has "skipped", mapping the side to the TailFitError text. A
+    tail_fraction outside (0, 0.5] is a setting, not a fact of the data: it
+    raises."""
     records = []
     for meta, row in zip(rp.assets, rp.returns):
         record: dict[str, Any] = {"code": meta.code}
@@ -348,12 +349,7 @@ def fit_tails(rp: ReturnPanel, tail_fraction: float) -> list[dict[str, Any]]:
                 record[side] = None
                 record.setdefault("skipped", {})[side] = str(exc)
                 continue
-            record[side] = {
-                "alpha": fit.alpha,
-                "tail_fraction": fit.tail_fraction,
-                "k": fit.k,
-                "x_min": fit.x_min,
-            }
+            record[side] = dict(vars(fit))
         records.append(record)
     return records
 

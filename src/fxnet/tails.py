@@ -24,7 +24,6 @@ class TailFit:
     tail_fraction: float
     k: int
     x_min: float
-    side: str
 
 
 def hill_estimate(tail_values: np.ndarray, x_min: float) -> float:
@@ -39,13 +38,6 @@ def hill_estimate(tail_values: np.ndarray, x_min: float) -> float:
     return tail_values.size / total
 
 
-def _side_values(samples: np.ndarray, side: str) -> np.ndarray:
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    samples = np.asarray(samples, dtype=float)
-    return -samples if side == "negative" else samples
-
-
 def fit_tail_exponent(
     samples: np.ndarray,
     side: str = "positive",
@@ -58,7 +50,11 @@ def fit_tail_exponent(
     `side` or `tail_fraction` is a ValueError; a TailFitError means the fit is
     infeasible on these samples.
     """
-    x = _side_values(samples, side)
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    x = np.asarray(samples, dtype=float)
+    if side == "negative":
+        x = -x
     if not 0 < tail_fraction <= 0.5:
         raise ValueError(f"tail_fraction must be in (0, 0.5], got {tail_fraction}")
     n = x.size
@@ -76,11 +72,5 @@ def fit_tail_exponent(
             f"only {tail.size} tail points strictly above x_min, need >= {MIN_TAIL_POINTS}"
         )
     alpha = hill_estimate(tail, x_min)
-    return TailFit(
-        alpha=alpha,
-        tail_fraction=tail_fraction,
-        k=int(tail.size),
-        x_min=x_min,
-        side=side,
-    )
+    return TailFit(alpha=alpha, tail_fraction=tail_fraction, k=int(tail.size), x_min=x_min)
 

@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from fxnet.report import (
     run_pipeline,
     write_files,
 )
+from fxnet.tails import TailFit
 from oracles import (
     csv_text,
     graph_json_by_json_dumps,
@@ -515,6 +517,42 @@ def test_one_blas_thread_sets_only_a_known_setter(monkeypatch, known):
     assert calls == ([1, "body", 3] if known else ["body"])
 
 
+@pytest.fixture()
+def fresh_blas_lookup():
+    """_blas_threads looked up anew in the test, and again by later tests, so
+    that they get the real setter back."""
+    spectral._blas_threads.cache_clear()
+    yield
+    spectral._blas_threads.cache_clear()
+
+
+def _no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize(
+    "cdll",
+    [_no_library,
+     # each pair's setter alone, so that neither pair is whole
+     lambda path: types.SimpleNamespace(**dict.fromkeys(
+         name for name, _ in spectral._BLAS_THREAD_SYMBOLS))],
+    ids=["no-library", "no-symbol-pair"],
+)
+def test_no_blas_setter_without_the_library_or_a_whole_symbol_pair(
+        monkeypatch, fresh_blas_lookup, cdll):
+    monkeypatch.setattr(spectral.ctypes, "CDLL", cdll)
+    assert spectral._blas_threads() is None
+
+
+@pytest.mark.parametrize("count, want", [(3, 3), (None, 1)])
+def test_usable_cpus_without_sched_getaffinity(monkeypatch, count, want):
+    """Where the platform has no CPU affinity, the CPU count, or 1 if it is
+    unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert report._usable_cpus() == want
+
+
 class TestCli:
     @pytest.fixture()
     def inputs(self, tmp_path):
@@ -553,6 +591,23 @@ class TestCli:
             for side in ("positive", "negative"):
                 assert set(record[side]) == {"alpha", "tail_fraction", "k", "x_min"}
         assert capsys.readouterr().out == "wrote 8 tail fits, skipped 0\n"
+
+    def test_run_as_a_module(self, inputs):
+        """`python -m fxnet.cli` exits with main's status."""
+        prices, meta, tmp_path = inputs
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+        def ingest(path):
+            return subprocess.run(
+                [sys.executable, "-m", "fxnet.cli", "ingest", *self.base(path, meta)],
+                env=env, capture_output=True, text=True, timeout=120)
+
+        good = ingest(prices)
+        assert (good.returncode, good.stdout) == (0, "panel: 4 assets, 600 dates "
+                                                     "(2019-01-01 .. 2020-08-22)\n")
+        missing = ingest(str(tmp_path / "missing.csv"))
+        assert missing.returncode == 1
+        assert missing.stderr.startswith("error [ingest]: ")
 
     def test_spectrum(self, inputs, capsys):
         prices, meta, tmp_path = inputs
@@ -747,6 +802,7 @@ def _short_or_pegged_files(tmp_path, n_dates, pegged):
     return prices, meta
 
 
+_TAIL_FIT_FIELDS = {field.name for field in dataclasses.fields(TailFit)}
 _TOO_SHORT = {side: "need at least 100 samples, got 60" for side in ("positive", "negative")}
 _PEGGED = {side: f"non-positive tail threshold on side '{side}'"
            for side in ("positive", "negative")}
@@ -776,6 +832,8 @@ def test_report_and_tails_record_an_unfittable_tail_alike(
         assert record.get("skipped") == (reasons or None)
         for side in ("positive", "negative"):
             assert (record[side] is None) == (side in reasons)
+            # a fitted side is printed as its TailFit, field for field
+            assert record[side] is None or set(record[side]) == _TAIL_FIT_FIELDS
     capsys.readouterr()
     tails_out = tmp_path / "tails"
     assert cli_main(["tails", *io_args, "--out-dir", str(tails_out)]) == 0

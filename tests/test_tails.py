@@ -86,7 +86,7 @@ class TestFitTailExponent:
     def test_negative_side(self, rng):
         samples = -pareto_samples(rng, 2000, 3.0)
         fit = fit_tail_exponent(samples, "negative", 0.10)
-        assert fit.side == "negative"
+        assert fit == fit_tail_exponent(-samples, "positive", 0.10)
         assert 2.0 <= fit.alpha <= 4.0
 
     def test_tail_fields_consistent(self, rng):
