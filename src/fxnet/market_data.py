@@ -119,7 +119,6 @@ def parse_asset_metadata(text: str) -> dict[str, AssetMeta]:
     if header is None or [f.strip() for f in header] != expected:
         raise PanelError(f"metadata header must be {','.join(expected)!r}, got {header}")
     metas: dict[str, AssetMeta] = {}
-    indices: list[int] = []
     for lineno, row in records:
         if not row:
             continue
@@ -149,7 +148,6 @@ def parse_asset_metadata(text: str) -> dict[str, AssetMeta]:
             raise PanelError(
                 f"metadata line {lineno}: non-integer index for {code}: {raw_index!r}"
             ) from exc
-        indices.append(index)
         metas[code] = AssetMeta(
             index=index,
             code=code,
@@ -159,7 +157,7 @@ def parse_asset_metadata(text: str) -> dict[str, AssetMeta]:
         )
     if not metas:
         raise PanelError("metadata file contains no assets")
-    if sorted(indices) != list(range(1, len(indices) + 1)):
+    if sorted(m.index for m in metas.values()) != list(range(1, len(metas) + 1)):
         raise PanelError("metadata indices must be unique and contiguous from 1")
     return metas
 
@@ -286,7 +284,6 @@ def _read_prices_per_cell(
     n = len(codes)
     dates: list[datetime.date] = []
     rows: list[list[float]] = []
-    prev_date: datetime.date | None = None
 
     for lineno, row in records:
         if not row or all(not cell.strip() for cell in row):
@@ -297,10 +294,9 @@ def _read_prices_per_cell(
             date = _iso_date(row[0].strip())
         except ValueError as exc:
             raise PanelError(f"line {lineno}: bad date {row[0]!r}") from exc
-        if prev_date is not None and date <= prev_date:
-            problem = "duplicate date" if date == prev_date else "dates not strictly increasing at"
+        if dates and date <= dates[-1]:
+            problem = "duplicate date" if date == dates[-1] else "dates not strictly increasing at"
             raise PanelError(f"line {lineno}: {problem} {date.isoformat()}")
-        prev_date = date
 
         values: list[float] = []
         for j, cell in enumerate(row[1:]):

@@ -151,11 +151,7 @@ def cluster_report(g: Graph, hub_sigma: float = DEFAULT_HUB_SIGMA) -> ClusterRep
     return ClusterReport(components=components, isolated=isolated, hubs=tuple(hubs))
 
 
-def threshold_sweep(
-    c_group: np.ndarray,
-    grid: list[float] | np.ndarray,
-    assets: tuple[AssetMeta, ...],
-) -> SweepResult:
+def threshold_sweep(c_group: np.ndarray, grid: list[float] | np.ndarray) -> SweepResult:
     """Evaluate threshold networks over a grid of cutoffs.
 
     The recommended cutoff maximizes the number of nodes sitting in components
@@ -169,12 +165,12 @@ def threshold_sweep(
         raise ValueError("threshold grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("threshold grid must be strictly increasing")
-    c_group = _matrix_for(c_group, assets, "matrix")
+    c_group = np.asarray(c_group, dtype=float)
     forest = [(i, j, c_group[i, j]) for i, j in _kruskal(-c_group)]
     entries: list[SweepEntry] = []
     for c_th in grid:
         above = [(i, j) for i, j, w in forest if w > c_th]
-        sizes = tuple(len(c) for c in _components(len(assets), above))
+        sizes = tuple(len(c) for c in _components(len(c_group), above))
         clustered = sum(s for s in sizes if s >= MIN_CLUSTER_SIZE)
         entries.append(
             SweepEntry(

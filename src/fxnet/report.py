@@ -212,8 +212,8 @@ def spectrum_files(
 ) -> Files:
     codes = [a.code for a in assets]
     yield "spectrum.csv", _csv(["index", "eigenvalue"], enumerate(sd.eigenvalues.tolist()))
-    yield "eigenvectors.csv", _csv(["index", *codes], [
-        (j, *u) for j, u in enumerate(sd.eigenvectors.tolist())])
+    yield "eigenvectors.csv", _csv(["index", *codes],
+                                   ((j, *u.tolist()) for j, u in enumerate(sd.eigenvectors)))
     yield "correlation.csv", export_matrix_csv(c, assets, codes)
 
 
@@ -490,7 +490,7 @@ def build_threshold(
     a given cutoff) and the cutoff used."""
     sweep = None
     if c_th == "auto":
-        sweep = network.threshold_sweep(c_group, default_threshold_grid(c_group), assets)
+        sweep = network.threshold_sweep(c_group, default_threshold_grid(c_group))
         c_th = sweep.recommended
     tnet = network.threshold_network(c_group, float(c_th), assets)
     return tnet, network.cluster_report(tnet, hub_sigma), sweep, float(c_th)

@@ -145,7 +145,7 @@ def eigendecompose(c: np.ndarray) -> SpectralDecomposition:
     vals, v = np.linalg.eigh(c)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
-    vecs = v[:, order].T  # row per eigenvector
+    vecs = v.T[order]  # row per eigenvector, C-ordered
 
     dom = vecs[np.arange(n), np.argmax(np.abs(vecs), axis=1)]
     vecs *= np.where(dom < 0, -math.sqrt(n), math.sqrt(n))[:, None]

@@ -184,7 +184,7 @@ def test_criterion_6_planted_group_recovery(capfd):
         sd = eigendecompose(correlation_matrix(rp))
         md = decompose_modes(sd, 2)
         grid = default_threshold_grid(md.c_group)
-        sweep = threshold_sweep(md.c_group, grid, rp.assets)
+        sweep = threshold_sweep(md.c_group, grid)
         tnet = threshold_network(md.c_group, sweep.recommended, rp.assets)
         recovered = component_labels(cluster_report(tnet).components, rp.n_assets)
         grouped = labels >= 0

@@ -228,11 +228,14 @@ def test_bad_metadata_code_is_a_panel_error_naming_its_line(row, message):
       "line 4: dates not strictly increasing at 2020-01-02"),
      # a repeat of an earlier, non-adjacent date is out of order first
      (["2020-01-01", "2020-01-02", "2020-01-03", "2020-01-01"],
-      "line 5: dates not strictly increasing at 2020-01-01")],
-    ids=["duplicate", "decreasing", "non-adjacent-repeat"],
+      "line 5: dates not strictly increasing at 2020-01-01"),
+     # the blank row ("" here) is skipped: the date is checked against the last one kept
+     (["2020-01-01", "2020-01-02", "", "2020-01-02"],
+      "line 5: duplicate date 2020-01-02")],
+    ids=["duplicate", "decreasing", "non-adjacent-repeat", "duplicate-across-a-blank-row"],
 )
 def test_date_out_of_order_is_a_panel_error_naming_its_line(dates, message):
-    table = [[1.0, 2.0, 3.0]] * 4
+    table = [[1.0, 2.0, 3.0] if date else [None] * 3 for date in dates]
     with pytest.raises(PanelError, match=f"^{message}$"):
         parse_price_panel(price_csv(CODES, dates, table), meta_csv(CODES))
 

@@ -155,7 +155,7 @@ class TestRobustnessToNg:
         for k in (n_g, n_g + 1):
             md = decompose_modes(sd, k)
             grid = default_threshold_grid(md.c_group)
-            sweep = threshold_sweep(md.c_group, grid, rp.assets)
+            sweep = threshold_sweep(md.c_group, grid)
             tnet = threshold_network(md.c_group, sweep.recommended, rp.assets)
             components = cluster_report(tnet).components
             partitions.append(

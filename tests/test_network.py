@@ -138,6 +138,10 @@ class TestMinimumSpanningTree:
         with pytest.raises(ValueError, match="non-finite"):
             minimum_spanning_tree(d, make_assets(3))
 
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^distance matrix size does not match asset list$"):
+            minimum_spanning_tree(np.zeros((4, 4)), make_assets(3))
+
     @settings(max_examples=200, deadline=None)
     @given(d=symmetric_matrices())
     def test_matches_sorted_tuple_kruskal(self, d):
@@ -180,6 +184,10 @@ class TestThresholdNetwork:
         g = threshold_network(np.eye(3), 0.5, make_assets(3))
         with pytest.raises(ValueError, match="hub_sigma must be finite"):
             cluster_report(g, bad)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^matrix size does not match asset list$"):
+            threshold_network(np.eye(4), 0.1, make_assets(3))
 
     def test_edge_sets_nested_across_thresholds(self, rng):
         m = rng.uniform(-0.2, 0.4, (8, 8))
@@ -230,7 +238,7 @@ class TestThresholdSweep:
         m = (m + m.T) / 2
         np.fill_diagonal(m, 1.0)
         grid = [0.05, 0.2, 0.5]
-        sweep = threshold_sweep(m, grid, make_assets(6))
+        sweep = threshold_sweep(m, grid)
         assert sweep.entries[0].n_active == 6  # complete graph
         assert sweep.entries[0].n_components == 1
         assert sweep.entries[-1].n_active == 0  # empty graph
@@ -240,7 +248,7 @@ class TestThresholdSweep:
         np.fill_diagonal(m, 1.0)
         for i, j in [(0, 1), (1, 2), (0, 2)]:
             m[i, j] = m[j, i] = 0.8
-        sweep = threshold_sweep(m, [0.5], make_assets(6))
+        sweep = threshold_sweep(m, [0.5])
         entry = sweep.entries[0]
         assert entry.sizes == (3,)
         assert entry.clustered == 3
@@ -248,13 +256,9 @@ class TestThresholdSweep:
     def test_grid_validation(self, rng):
         m = np.eye(4)
         with pytest.raises(ValueError):
-            threshold_sweep(m, [], make_assets(4))
+            threshold_sweep(m, [])
         with pytest.raises(ValueError):
-            threshold_sweep(m, [0.2, 0.1], make_assets(4))
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="matrix size does not match"):
-            threshold_sweep(np.eye(4), [0.1], make_assets(3))
+            threshold_sweep(m, [0.2, 0.1])
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -262,7 +266,7 @@ class TestThresholdSweep:
         m = data.draw(symmetric_matrices())
         grid = data.draw(grids(m))
         assets = make_assets(m.shape[0])
-        sweep = threshold_sweep(m, grid, assets)
+        sweep = threshold_sweep(m, grid)
         entries, recommended = threshold_sweep_bfs(m, grid)
         assert tuple(dataclasses.astuple(e) for e in sweep.entries) == entries
         assert sweep.recommended == recommended
@@ -277,7 +281,7 @@ class TestThresholdSweep:
         sd = eigendecompose(correlation_matrix(rp))
         md = decompose_modes(sd, 2)
         grid = default_threshold_grid(md.c_group)
-        sweep = threshold_sweep(md.c_group, grid, rp.assets)
+        sweep = threshold_sweep(md.c_group, grid)
         tnet = threshold_network(md.c_group, sweep.recommended, rp.assets)
         components = cluster_report(tnet).components
         recovered = component_labels(components, rp.n_assets)

@@ -451,7 +451,7 @@ class TestSurrogateStage:
         assert threading.active_count() == before
 
     def test_peak_memory_is_the_pool_and_its_sorted_copy(self, monkeypatch):
-        """At 40 surrogates of a `wide`-shaped panel, 250 x 750, the traced
+        """At 10 surrogates of a `wide`-shaped panel, 250 x 750, the traced
         peak is at most 16 bytes per pooled eigenvector component (the pool
         and the KS statistic's sorted copy of it) plus the workers' N x T
         buffers: each surrogate's part goes once the parts are concatenated,
@@ -467,8 +467,8 @@ class TestSurrogateStage:
 
         monkeypatch.setattr(report, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(spectral, "normal_ks_statistic", recording)
-        peak = _traced_peak(report.surrogate_stats, rp, spectral.rmt_bounds(n, t), self.SEED, 40)
-        assert pooled[0] > 2_000_000
+        peak = _traced_peak(report.surrogate_stats, rp, spectral.rmt_bounds(n, t), self.SEED, 10)
+        assert pooled[0] > 500_000
         assert peak <= 16 * pooled[0] + workers * 8 * n * t
 
 
@@ -987,20 +987,22 @@ def test_bad_setting_fails_before_any_eigensolve(tmp_path, capsys, monkeypatch, 
 
 
 def test_returns_peak_memory_stays_near_the_text_length(rng):
-    """Formatting `returns.csv` of a 100 x 2499 panel allocates at most 4 times
-    the file's length at its peak: the rows become Python floats one at a
-    time, not the whole matrix at once."""
+    """Formatting `returns.csv` of a 100 x 2499 panel, or `eigenvectors.csv`
+    of a 250-asset spectrum, allocates at most 4 times the file's length at
+    its peak: the rows become Python floats one at a time, not the whole
+    matrix at once."""
     rp = ReturnPanel(assets=make_assets(100), returns=rng.standard_normal((100, 2499)),
                      sigma=np.ones(100))
     length = len(dict(returns_files(rp))["returns.csv"])
-    gc.collect()
-    tracemalloc.start()
-    try:
-        dict(returns_files(rp))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * length
+    assert _traced_peak(dict, returns_files(rp)) <= 4 * length
+
+    wide = normalized_noise_panel(rng, 250, 750)
+    c = spectral.correlation_matrix(wide)
+    sd = spectral.eigendecompose(c)
+    length = len(dict(report.spectrum_files(wide.assets, c, sd))["eigenvectors.csv"])
+    files = report.spectrum_files(wide.assets, c, sd)
+    assert next(files)[0] == "spectrum.csv"  # formatted untraced
+    assert _traced_peak(next, files) <= 4 * length
 
 
 def _traced_peak(fn, *args):
