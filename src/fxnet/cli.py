@@ -132,7 +132,7 @@ COMMANDS = {
     "spectrum": (cmd_spectrum, ("delta",)),
     "decompose": (cmd_decompose, ("delta", "n_g")),
     "mst": (cmd_mst, ("delta", "hub_sigma")),
-    "threshnet": (cmd_threshnet, ("delta", "n_g", "c_th", "hub_sigma")),
+    "threshnet": (cmd_threshnet, ("delta", "n_g", "c_th")),
     "report": (cmd_report, ("delta", "tail_fraction", "n_g", "c_th", "surrogates",
                             "seed", "hub_sigma")),
 }

@@ -10,6 +10,7 @@ from .market_data import _freeze
 from .spectral import RmtBounds, SpectralDecomposition
 
 DEFAULT_N_GROUP = 6
+HISTOGRAM_BINS = 51
 
 
 @dataclass(frozen=True)
@@ -50,16 +51,15 @@ def select_ng(sd: SpectralDecomposition, bounds: RmtBounds) -> int:
     return int(np.sum(sd.eigenvalues[1:] > bounds.lambda_max))
 
 
-def element_histogram(m: np.ndarray, bins: int) -> list[tuple[float, float]]:
-    """Density histogram of the off-diagonal upper-triangle elements."""
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+def element_histogram(m: np.ndarray) -> list[tuple[float, float]]:
+    """Density histogram of the off-diagonal upper-triangle elements, in
+    HISTOGRAM_BINS bins."""
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     vals = m[np.triu_indices(n, k=1)]
     lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    density, edges = np.histogram(vals, bins=bins, range=(lo, hi), density=True)
+    density, edges = np.histogram(vals, bins=HISTOGRAM_BINS, range=(lo, hi), density=True)
     centers = (edges[:-1] + edges[1:]) / 2.0
     return [(float(c), float(d)) for c, d in zip(centers, density)]

@@ -12,6 +12,7 @@ from .market_data import AssetMeta
 CLAMP_TOL = 1e-9
 DEFAULT_HUB_SIGMA = 2.0
 MIN_CLUSTER_SIZE = 3
+THRESHOLD_GRID_POINTS = 40
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,10 @@ def cluster_report(g: Graph, hub_sigma: float = DEFAULT_HUB_SIGMA) -> ClusterRep
     return ClusterReport(components=components, isolated=isolated, hubs=tuple(hubs))
 
 
-def threshold_sweep(c_group: np.ndarray, grid: list[float] | np.ndarray) -> SweepResult:
-    """Evaluate threshold networks over a grid of cutoffs.
+def threshold_sweep(c_group: np.ndarray) -> SweepResult:
+    """Evaluate threshold networks over THRESHOLD_GRID_POINTS evenly spaced
+    cutoffs in (0, top], top being the largest off-diagonal element (where
+    the network empties out), or at the one cutoff 0 if top <= 0.
 
     The recommended cutoff maximizes the number of nodes sitting in components
     of size >= 3, with ties broken toward the larger cutoff. The components at
@@ -160,12 +163,9 @@ def threshold_sweep(c_group: np.ndarray, grid: list[float] | np.ndarray) -> Swee
     forest of c_group, which connect what the threshold graph at c connects
     (the single-linkage / MST equivalence).
     """
-    grid = [float(x) for x in grid]
-    if not grid:
-        raise ValueError("threshold grid must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("threshold grid must be strictly increasing")
     c_group = np.asarray(c_group, dtype=float)
+    top = float(c_group[np.triu_indices(len(c_group), k=1)].max())
+    grid = np.linspace(0.0, top, THRESHOLD_GRID_POINTS + 1)[1:].tolist() if top > 0 else [0.0]
     forest = [(i, j, c_group[i, j]) for i, j in _kruskal(-c_group)]
     entries: list[SweepEntry] = []
     for c_th in grid:

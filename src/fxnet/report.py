@@ -32,8 +32,6 @@ SCHEMA_VERSION = 1
 BULK_MARGIN = 0.05
 DEFAULT_SURROGATES = 10
 DEFAULT_SEED = 20120430
-THRESHOLD_GRID_POINTS = 40
-HISTOGRAM_BINS = 51
 
 
 class StageError(RuntimeError):
@@ -228,7 +226,7 @@ def modes_files(assets: tuple[AssetMeta, ...], c: np.ndarray, md: ModeDecomposit
         yield f"c_{part}.csv", export_matrix_csv(getattr(md, f"c_{part}"), assets, codes)
     yield "histograms.csv", _csv(["bin_center", "density", "component"], [
         (x, d, name) for name, m in _parts(c, md).items()
-        for x, d in modes.element_histogram(m, HISTOGRAM_BINS)])
+        for x, d in modes.element_histogram(m)])
 
 
 def graph_files(g: Graph, sweep: SweepResult | None = None) -> Files:
@@ -462,17 +460,6 @@ def decompose(
     return modes.decompose_modes(sd, n_g_used), n_g_auto
 
 
-def default_threshold_grid(c_group: np.ndarray) -> np.ndarray:
-    """Evenly spaced cutoffs from just above 0 up to the largest off-diagonal
-    element (where the network empties out)."""
-    n = c_group.shape[0]
-    off = c_group[np.triu_indices(n, k=1)]
-    top = float(off.max())
-    if top <= 0:
-        return np.array([0.0])
-    return np.linspace(0.0, top, THRESHOLD_GRID_POINTS + 1)[1:]
-
-
 @_stage("network")
 def build_mst(
     c: np.ndarray, assets: tuple[AssetMeta, ...], hub_sigma: float
@@ -486,11 +473,11 @@ def build_threshold(
     c_group: np.ndarray, assets: tuple[AssetMeta, ...], c_th: float | str, hub_sigma: float
 ) -> tuple[Graph, ClusterReport, SweepResult | None, float]:
     """The threshold network at c_th, a real or "auto" (the recommended cutoff
-    of a sweep over default_threshold_grid), its report, the sweep (None for
-    a given cutoff) and the cutoff used."""
+    of threshold_sweep), its report, the sweep (None for a given cutoff) and
+    the cutoff used."""
     sweep = None
     if c_th == "auto":
-        sweep = network.threshold_sweep(c_group, default_threshold_grid(c_group))
+        sweep = network.threshold_sweep(c_group)
         c_th = sweep.recommended
     tnet = network.threshold_network(c_group, float(c_th), assets)
     return tnet, network.cluster_report(tnet, hub_sigma), sweep, float(c_th)

@@ -31,7 +31,6 @@ from fxnet.network import (
 )
 from fxnet.report import (
     PipelineConfig,
-    default_threshold_grid,
     run_pipeline,
 )
 from fxnet.spectral import (
@@ -183,8 +182,7 @@ def test_criterion_6_planted_group_recovery(capfd):
         rp, labels = planted_group_panel(trial_rng)
         sd = eigendecompose(correlation_matrix(rp))
         md = decompose_modes(sd, 2)
-        grid = default_threshold_grid(md.c_group)
-        sweep = threshold_sweep(md.c_group, grid)
+        sweep = threshold_sweep(md.c_group)
         tnet = threshold_network(md.c_group, sweep.recommended, rp.assets)
         recovered = component_labels(cluster_report(tnet).components, rp.n_assets)
         grouped = labels >= 0

@@ -7,7 +7,9 @@ random stream enters, and `golden/report` is their report tree, written by
         --metadata tests/golden/meta.csv --out-dir tests/golden/report --surrogates 0
 
 (rerun it after a deliberate change of the output). The panel has ties, zero
-returns, a filled gap and two dropped dates.
+returns, a filled gap and two dropped dates. `golden/surrogates.json` is the
+`surrogates` block of report.json from the same command with
+`--surrogates 3`, as `json.dumps(block, sort_keys=True, indent=2)` prints it.
 
 The files computed from the returns and C alone must keep their bytes. The
 files computed from the eigensolver may differ by as much as two backward
@@ -24,7 +26,9 @@ numpy's eigensolver and once with each of two of scipy's LAPACK drivers
 (`test_c_from_scipys_dsyrk_prints_the_committed_files`).
 """
 
+import dataclasses
 import functools
+import json
 import math
 import pathlib
 from unittest import mock
@@ -34,8 +38,8 @@ import pytest
 import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
+from fxnet.modes import HISTOGRAM_BINS
 from fxnet.report import (
-    HISTOGRAM_BINS,
     PipelineConfig,
     build_mst,
     correlate,
@@ -47,6 +51,7 @@ from fxnet.report import (
     spectrum,
     spectrum_files,
 )
+from fxnet.spectral import derive_seeds, surrogate_correlation
 from oracles import read_json_report, read_pajek
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -279,6 +284,23 @@ def test_c_from_scipys_dsyrk_prints_the_committed_files():
         assert fresh[rel] == (GOLDEN / "report" / rel).read_text(encoding="utf-8"), rel
 
 
+def _surrogate_block(tmp_path_factory, solver):
+    """The text golden/surrogates.json holds, from a fresh run with
+    EIGENSOLVERS[solver]."""
+    out = tmp_path_factory.mktemp(f"surrogates-{solver}") / "report"
+    cfg = dataclasses.replace(_golden_config(str(out)), surrogates=3)
+    with mock.patch("numpy.linalg.eigh", EIGENSOLVERS[solver]):
+        run_pipeline(cfg)
+    block = read_json_report(out / "report.json")["surrogates"]
+    return json.dumps(block, sort_keys=True, indent=2) + "\n"
+
+
+def test_surrogate_summary_keeps_its_bytes(tmp_path_factory):
+    """The surrogates' seeds, shuffles, bulk window and statistics, pinned."""
+    golden = (GOLDEN / "surrogates.json").read_text(encoding="utf-8")
+    assert _surrogate_block(tmp_path_factory, "numpy") == golden
+
+
 class TestScipyEigensolvers:
     """The checks above on fresh trees whose eigenpairs come from scipy's
     OpenBLAS: each tree keeps the bytes of the files from the returns and C,
@@ -329,6 +351,37 @@ class TestScipyEigensolvers:
         for part in ("global", "group", "random"):
             m, m2 = getattr(md, f"c_{part}"), getattr(md2, f"c_{part}")
             assert np.all(np.abs(m - m2) <= bounds[part]), part
+
+    def test_surrogate_summary_within_weyl(self, tmp_path_factory, solver):
+        """The surrogate summary of a scipy run: every surrogate eigenvalue of
+        a backward stable solver is within 2 eta of numpy's (Weyl). None lies
+        within 2 eta of the bulk window's edges, so `bulk_fraction` is exact;
+        `eigenvalue_max` and `eigenvalue_min` are within 2 eta plus the print
+        rounding. The numbers not from the eigensolver are exact, and
+        `ks_statistic`, from the eigenvectors, is not compared."""
+        golden = read_json_report(GOLDEN / "surrogates.json")
+        fresh = json.loads(_surrogate_block(tmp_path_factory, solver))
+        rp = _golden_returns()
+        buf = np.empty(rp.returns.shape)
+        n = rp.n_assets
+        assert n < rp.n_steps  # so every eigenvalue enters the summary
+        lams, eta = [], 0.0
+        for seed in derive_seeds(golden["seed"], golden["count"]):
+            c = surrogate_correlation(rp, seed, buf)
+            lam, u = EIGENSOLVERS[solver](c)
+            eta_k = 10 * n * EPS * np.linalg.norm(c, 2)
+            assert np.linalg.norm(c @ u - u * lam) <= eta_k
+            assert np.linalg.norm(u.T @ u - np.eye(n), 2) * np.linalg.norm(c, 2) <= eta_k
+            lams.append(lam)
+            eta = max(eta, eta_k)
+        lam = np.concatenate(lams)
+        for edge in (golden["bulk_low"], golden["bulk_high"]):
+            # the printed edge is within its rounding of the one compared
+            assert np.abs(lam - edge).min() > 2 * eta + (ROUND + EPS) * abs(edge)
+        for key in ("eigenvalue_max", "eigenvalue_min"):
+            assert _close(fresh.pop(key), golden.pop(key), 2 * eta), key
+        del fresh["ks_statistic"], golden["ks_statistic"]
+        assert fresh == golden
 
     @pytest.mark.parametrize("solver", ["evr"], indirect=True)
     def test_evr_changes_some_bytes(self, trees):

@@ -4,7 +4,6 @@ import pytest
 from conftest import normalized_noise_panel, planted_group_panel
 from fxnet.modes import decompose_modes, element_histogram, select_ng
 from fxnet.network import threshold_network, threshold_sweep, cluster_report
-from fxnet.report import default_threshold_grid
 from fxnet.spectral import (
     RmtBounds,
     SpectralDecomposition,
@@ -98,7 +97,7 @@ class TestSelectNg:
 
 class TestElementHistogram:
     def test_all_zero_matrix(self):
-        hist = element_histogram(np.zeros((5, 5)), bins=4)
+        hist = element_histogram(np.zeros((5, 5)))
         occupied = [(c, d) for c, d in hist if d > 0]
         assert len(occupied) == 1
         center, density = occupied[0]
@@ -111,7 +110,7 @@ class TestElementHistogram:
             m[i, j] = m[j, i] = 0.5
         for i, j in pairs[1]:
             m[i, j] = m[j, i] = -0.5
-        hist = element_histogram(m, bins=5)
+        hist = element_histogram(m)
         densities = [d for _, d in hist]
         assert densities[0] > 0 and densities[-1] > 0
         assert all(d == 0 for d in densities[1:-1])
@@ -119,14 +118,10 @@ class TestElementHistogram:
     def test_density_integrates_to_one(self, rng):
         m = rng.standard_normal((10, 10))
         m = (m + m.T) / 2
-        hist = element_histogram(m, bins=13)
+        hist = element_histogram(m)
         centers = np.array([c for c, _ in hist])
         width = centers[1] - centers[0]
         assert np.sum([d for _, d in hist]) * width == pytest.approx(1.0, abs=1e-9)
-
-    def test_bins_validation(self):
-        with pytest.raises(ValueError):
-            element_histogram(np.zeros((3, 3)), bins=1)
 
     def test_group_tail_exceeds_random(self):
         rng = np.random.default_rng(99)
@@ -154,8 +149,7 @@ class TestRobustnessToNg:
         partitions = []
         for k in (n_g, n_g + 1):
             md = decompose_modes(sd, k)
-            grid = default_threshold_grid(md.c_group)
-            sweep = threshold_sweep(md.c_group, grid)
+            sweep = threshold_sweep(md.c_group)
             tnet = threshold_network(md.c_group, sweep.recommended, rp.assets)
             components = cluster_report(tnet).components
             partitions.append(

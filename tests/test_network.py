@@ -14,7 +14,6 @@ from fxnet.network import (
     threshold_sweep,
 )
 from fxnet.modes import decompose_modes
-from fxnet.report import default_threshold_grid
 from fxnet.spectral import correlation_matrix, eigendecompose
 from oracles import (
     brute_force_mst_weight,
@@ -50,17 +49,30 @@ def symmetric_matrices(draw):
     return m
 
 
+def sweep_grid(m):
+    """The cutoffs threshold_sweep promises: 40 evenly spaced in (0, top], top
+    being the largest off-diagonal entry, or the one cutoff 0 if top <= 0."""
+    top = float(m[np.triu_indices(m.shape[0], k=1)].max())
+    return np.linspace(0.0, top, 41)[1:].tolist() if top > 0 else [0.0]
+
+
 @st.composite
-def grids(draw, m):
-    """Strictly increasing cutoffs, some equal to entries of m, reaching below
-    its smallest and above its largest off-diagonal entry when drawn so."""
-    off = m[np.triu_indices(m.shape[0], k=1)]
-    grid = set(draw(st.lists(st.one_of(*ENTRIES), min_size=1, max_size=12)))
+def swept_matrices(draw):
+    """Symmetric matrices whose off-diagonal entries are 0 or the cutoffs of
+    their own sweep grid or their negatives, so that edge weights equal
+    cutoffs; when drawn so, every entry is <= 0 and the grid is [0.0]."""
+    n = draw(st.integers(2, 30))
+    top = draw(st.floats(1e-3, 1.0))
+    cutoffs = np.linspace(0.0, top, 41)[1:]
+    values = np.concatenate([cutoffs, -cutoffs, [0.0]]).tolist()
+    m = np.triu(draw(hnp.arrays(float, (n, n), elements=st.sampled_from(values))), k=1)
     if draw(st.booleans()):
-        grid.add(float(off.min()) - 0.25)
-    if draw(st.booleans()):
-        grid.add(float(off.max()) + 0.25)
-    return sorted(grid)
+        m = -np.abs(m)
+    else:
+        m[0, 1] = top  # the largest entry, so that the grid is `cutoffs`
+    m = m + m.T
+    np.fill_diagonal(m, 1.0)
+    return m
 
 
 class TestMantegnaDistance:
@@ -237,8 +249,7 @@ class TestThresholdSweep:
         m = rng.uniform(0.1, 0.3, (6, 6))
         m = (m + m.T) / 2
         np.fill_diagonal(m, 1.0)
-        grid = [0.05, 0.2, 0.5]
-        sweep = threshold_sweep(m, grid)
+        sweep = threshold_sweep(m)
         assert sweep.entries[0].n_active == 6  # complete graph
         assert sweep.entries[0].n_components == 1
         assert sweep.entries[-1].n_active == 0  # empty graph
@@ -248,25 +259,18 @@ class TestThresholdSweep:
         np.fill_diagonal(m, 1.0)
         for i, j in [(0, 1), (1, 2), (0, 2)]:
             m[i, j] = m[j, i] = 0.8
-        sweep = threshold_sweep(m, [0.5])
+        sweep = threshold_sweep(m)
         entry = sweep.entries[0]
         assert entry.sizes == (3,)
         assert entry.clustered == 3
 
-    def test_grid_validation(self, rng):
-        m = np.eye(4)
-        with pytest.raises(ValueError):
-            threshold_sweep(m, [])
-        with pytest.raises(ValueError):
-            threshold_sweep(m, [0.2, 0.1])
-
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_matches_per_cutoff_bfs(self, data):
-        m = data.draw(symmetric_matrices())
-        grid = data.draw(grids(m))
+    @given(m=swept_matrices())
+    def test_matches_per_cutoff_bfs(self, m):
+        grid = sweep_grid(m)
         assets = make_assets(m.shape[0])
-        sweep = threshold_sweep(m, grid)
+        sweep = threshold_sweep(m)
+        assert [e.c_th for e in sweep.entries] == grid
         entries, recommended = threshold_sweep_bfs(m, grid)
         assert tuple(dataclasses.astuple(e) for e in sweep.entries) == entries
         assert sweep.recommended == recommended
@@ -280,8 +284,7 @@ class TestThresholdSweep:
         rp, labels = planted_group_panel(rng)
         sd = eigendecompose(correlation_matrix(rp))
         md = decompose_modes(sd, 2)
-        grid = default_threshold_grid(md.c_group)
-        sweep = threshold_sweep(md.c_group, grid)
+        sweep = threshold_sweep(md.c_group)
         tnet = threshold_network(md.c_group, sweep.recommended, rp.assets)
         components = cluster_report(tnet).components
         recovered = component_labels(components, rp.n_assets)

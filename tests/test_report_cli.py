@@ -687,6 +687,15 @@ class TestCli:
         assert code == 1
         assert "error [tails]" in capsys.readouterr().err
 
+    def test_threshnet_has_no_hub_sigma(self, inputs, capsys):
+        """threshnet writes and prints nothing that reads the hubs."""
+        prices, meta, tmp_path = inputs
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["threshnet"] + self.base(prices, meta) +
+                     ["--out-dir", str(tmp_path / "out"), "--hub-sigma", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --hub-sigma 3" in capsys.readouterr().err
+
     def test_an_error_outside_a_stage_exits_1_with_its_text(self, inputs, capsys, monkeypatch):
         def fail(cfg):
             raise OSError("no room left")
@@ -933,7 +942,6 @@ def test_a_panel_with_fewer_than_two_unpegged_assets_fails_at_returns(
         ["report", "--surrogates", "1", "--c-th=-inf"],
         ["report", "--surrogates", "1", "--hub-sigma", "nan"],
         ["threshnet", "--c-th", "nan"],
-        ["threshnet", "--hub-sigma=inf"],
         ["mst", "--hub-sigma", "nan"],
         ["mst", "--hub-sigma=-inf"],
     ],
@@ -1166,7 +1174,7 @@ def test_every_csv_equals_the_csv_module_text_of_its_rows(rng):
            for part in ("global", "group", "random")},
         "histograms.csv": csv_text(["bin_center", "density", "component"],
                                    [(c, d, name) for name, m in parts.items()
-                                    for c, d in element_histogram(m, report.HISTOGRAM_BINS)]),
+                                    for c, d in element_histogram(m)]),
         "sweep.csv": csv_text(["c_th", "n_active", "n_components", "clustered", "sizes"],
                               [(e.c_th, e.n_active, e.n_components, e.clustered,
                                 ";".join(map(str, e.sizes))) for e in sweep.entries]),
