@@ -51,7 +51,7 @@ from fxnet.report import (
     spectrum,
     spectrum_files,
 )
-from fxnet.spectral import derive_seeds, surrogate_correlation
+from fxnet.spectral import derive_seeds, eigendecompose, normal_ks_statistic, surrogate_correlation
 from oracles import read_json_report, read_pajek
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -95,6 +95,29 @@ def bounds(trees):
     return _bounds(trees, "numpy")
 
 
+def _backward_stable(c, lam, u):
+    """eta = 10 n eps ||C||_2, once the eigenpairs (lam, u), u of unit
+    columns, are shown backward stable: their residual and their loss of
+    orthogonality are within eta, so C differs from the sum of all its terms
+    lam_j u_j u_j^T by at most 2 eta."""
+    n = c.shape[0]
+    eta = 10 * n * EPS * np.linalg.norm(c, 2)
+    assert np.linalg.norm(c @ u - u * lam) <= eta
+    assert np.linalg.norm(u.T @ u - np.eye(n), 2) * np.linalg.norm(c, 2) <= eta
+    return eta
+
+
+def _sin_theta(lam, eta):
+    """sin theta_j between eigenvector j of two backward stable runs, from one
+    run's eigenvalues lam: at most 2 eta over the gap to the other eigenvalues,
+    narrowed by the 2 eta that each run's eigenvalues may move (Davis-Kahan),
+    plus n eps."""
+    n = lam.size
+    gap = np.array([np.abs(np.delete(lam, j) - lam[j]).min() for j in range(n)]) - 4 * eta
+    assert np.all(gap > 0)  # no near-degenerate pair in this panel
+    return 2 * eta / gap + n * EPS
+
+
 def _bounds(trees, solver):
     """How far each eigensolver-derived quantity of two runs may differ:
     "weyl" for an eigenvalue, "vector"[j] for a cell of eigenvector j as
@@ -106,17 +129,10 @@ def _bounds(trees, solver):
     with mock.patch("numpy.linalg.eigh", EIGENSOLVERS[solver]):
         sd, _ = spectrum(c, rp.n_steps)
     n = c.shape[0]
-    lam, u = sd.eigenvalues, sd.eigenvectors.T / math.sqrt(n)
-    eta = 10 * n * EPS * np.linalg.norm(c, 2)
-    # this run is backward stable: its residual and its loss of orthogonality
-    # are within eta, so C differs from the sum of all its terms
-    # lam_j u_j u_j^T by at most 2 eta
-    assert np.linalg.norm(c @ u - u * lam) <= eta
-    assert np.linalg.norm(u.T @ u - np.eye(n), 2) * np.linalg.norm(c, 2) <= eta
+    lam = sd.eigenvalues
+    eta = _backward_stable(c, lam, sd.eigenvectors.T / math.sqrt(n))
     weyl = 2 * eta
-    gap = np.array([np.abs(np.delete(lam, j) - lam[j]).min() for j in range(n)]) - 2 * weyl
-    assert np.all(gap > 0)  # no near-degenerate pair in this panel
-    sin = 2 * eta / gap + n * EPS
+    sin = _sin_theta(lam, eta)
     # the term lam_j u_j u_j^T moves by at most |d lam_j| + |lam_j| sin theta_j
     # in the 2-norm, which bounds every entry; n eps |lam_j| covers its evaluation
     term = weyl + (np.abs(lam) + weyl) * sin + n * EPS * np.abs(lam)
@@ -357,8 +373,8 @@ class TestScipyEigensolvers:
         a backward stable solver is within 2 eta of numpy's (Weyl). None lies
         within 2 eta of the bulk window's edges, so `bulk_fraction` is exact;
         `eigenvalue_max` and `eigenvalue_min` are within 2 eta plus the print
-        rounding. The numbers not from the eigensolver are exact, and
-        `ks_statistic`, from the eigenvectors, is not compared."""
+        rounding. The numbers not from the eigensolver are exact;
+        `ks_statistic`, from the eigenvectors, is compared by the next test."""
         golden = read_json_report(GOLDEN / "surrogates.json")
         fresh = json.loads(_surrogate_block(tmp_path_factory, solver))
         rp = _golden_returns()
@@ -369,11 +385,8 @@ class TestScipyEigensolvers:
         for seed in derive_seeds(golden["seed"], golden["count"]):
             c = surrogate_correlation(rp, seed, buf)
             lam, u = EIGENSOLVERS[solver](c)
-            eta_k = 10 * n * EPS * np.linalg.norm(c, 2)
-            assert np.linalg.norm(c @ u - u * lam) <= eta_k
-            assert np.linalg.norm(u.T @ u - np.eye(n), 2) * np.linalg.norm(c, 2) <= eta_k
             lams.append(lam)
-            eta = max(eta, eta_k)
+            eta = max(eta, _backward_stable(c, lam, u))
         lam = np.concatenate(lams)
         for edge in (golden["bulk_low"], golden["bulk_high"]):
             # the printed edge is within its rounding of the one compared
@@ -382,6 +395,42 @@ class TestScipyEigensolvers:
             assert _close(fresh.pop(key), golden.pop(key), 2 * eta), key
         del fresh["ks_statistic"], golden["ks_statistic"]
         assert fresh == golden
+
+    def test_surrogate_ks_statistic_within_davis_kahan(self, tmp_path_factory, solver):
+        """`ks_statistic` of a scipy run within delta / sqrt(2 pi) of numpy's,
+        before it is printed, and as printed plus the print rounding. Every
+        surrogate eigenvalue lies in the bulk window, so the KS sample pools
+        every component of every surrogate eigenvector, in the sqrt(N)
+        scaling. delta, the largest Davis-Kahan bound of such a component,
+        bounds how far each pooled value moves, so the sorted sample moves at
+        most delta in the sup norm, and Phi' <= 1 / sqrt(2 pi). That needs both
+        runs to give each eigenvector the same sign: its largest-magnitude
+        component leads the next by more than 2 delta, so the sign convention
+        picks the same component in both."""
+        golden = read_json_report(GOLDEN / "surrogates.json")
+        fresh = json.loads(_surrogate_block(tmp_path_factory, solver))
+        assert fresh["bulk_fraction"] == golden["bulk_fraction"] == 1.0
+        rp = _golden_returns()
+        buf = np.empty(rp.returns.shape)
+        n = rp.n_assets
+        assert n < rp.n_steps  # so every eigenvector enters the pool
+        pools, delta = ([], []), 0.0  # numpy's and the solver's eigenvectors
+        for seed in derive_seeds(golden["seed"], golden["count"]):
+            c = surrogate_correlation(rp, seed, buf)
+            for name, pool in zip(("numpy", solver), pools):
+                with mock.patch("numpy.linalg.eigh", EIGENSOLVERS[name]):
+                    sd = eigendecompose(c)
+                eta = _backward_stable(c, sd.eigenvalues, sd.eigenvectors.T / math.sqrt(n))
+                pool.append(sd.eigenvectors)
+            # the gaps of the solver's run, as `_bounds` takes them
+            delta = max(delta, math.sqrt(2 * n) * _sin_theta(sd.eigenvalues, eta).max())
+        u, u2 = (np.concatenate(pool) for pool in pools)
+        lead = np.sort(np.abs(u), axis=1)
+        assert np.all(lead[:, -1] - lead[:, -2] > 2 * delta)
+        assert np.all(np.abs(u - u2) <= delta)
+        bound = delta / math.sqrt(2 * math.pi)
+        assert abs(normal_ks_statistic(u.ravel()) - normal_ks_statistic(u2.ravel())) <= bound
+        assert _close(fresh["ks_statistic"], golden["ks_statistic"], bound)
 
     @pytest.mark.parametrize("solver", ["evr"], indirect=True)
     def test_evr_changes_some_bytes(self, trees):

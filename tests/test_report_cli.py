@@ -3,6 +3,7 @@ import codecs
 import dataclasses
 import gc
 import hashlib
+import importlib.metadata
 import itertools
 import json
 import os
@@ -608,6 +609,14 @@ class TestCli:
         missing = ingest(str(tmp_path / "missing.csv"))
         assert missing.returncode == 1
         assert missing.stderr.startswith("error [ingest]: ")
+
+    def test_console_script_is_main(self):
+        """pyproject.toml's `fxnet` script, resolved as an installer resolves
+        it, is `main`. A regex reads the line, for Python 3.10 has no tomllib."""
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)^\[", text, re.M | re.S)[1]
+        value = re.search(r'^fxnet = "([^"]*)"$', scripts, re.M)[1]
+        assert importlib.metadata.EntryPoint("fxnet", value, "console_scripts").load() is cli_main
 
     def test_spectrum(self, inputs, capsys):
         prices, meta, tmp_path = inputs
