@@ -122,12 +122,12 @@ def parse_asset_metadata(text: str) -> dict[str, AssetMeta]:
     for lineno, row in records:
         if not row:
             continue
-        if len(row) < len(expected):
+        if len(row) != len(expected):
             raise PanelError(
                 f"metadata line {lineno}: expected {len(expected)} fields, "
                 f"got {len(row)}"
             )
-        raw_index, code, name, raw_class, region = row[: len(expected)]
+        raw_index, code, name, raw_class, region = row
         code = code.strip()
         if not code:
             raise PanelError(f"metadata line {lineno}: empty asset code")

@@ -9,7 +9,6 @@ import numpy as np
 from .market_data import _freeze
 from .spectral import RmtBounds, SpectralDecomposition
 
-DEFAULT_N_GROUP = 6
 HISTOGRAM_BINS = 51
 
 
@@ -47,7 +46,7 @@ def decompose_modes(sd: SpectralDecomposition, n_g: int) -> ModeDecomposition:
 
 def select_ng(sd: SpectralDecomposition, bounds: RmtBounds) -> int:
     """Count eigenvalues strictly above the random upper bound, excluding the
-    leading one. Advisory: callers may override."""
+    leading one: the n_g in use unless the caller gives an integer."""
     return int(np.sum(sd.eigenvalues[1:] > bounds.lambda_max))
 
 

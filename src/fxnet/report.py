@@ -51,7 +51,7 @@ class PipelineConfig:
     delta: int = 1
     fill_limit: int = market_data.DEFAULT_FILL_LIMIT
     tail_fraction: float = tails.DEFAULT_TAIL_FRACTION
-    n_g: int | str = modes.DEFAULT_N_GROUP  # integer or "auto"
+    n_g: int | str = "auto"  # integer or "auto" (select_ng's count)
     c_th: float | str = "auto"  # real or "auto" (grid sweep)
     surrogates: int = DEFAULT_SURROGATES
     seed: int = DEFAULT_SEED
@@ -263,10 +263,10 @@ def _stage(name: str):
 
 
 def check_settings(cfg: PipelineConfig) -> None:
-    """Raise, before any data is read, the StageError, with its text, that a
-    later stage would raise for a setting of `cfg` whose validity does not
-    depend on the data. A value of another type, such as "auto", is left to
-    the stage that uses it."""
+    """Raise, before any data is read, the StageError of the stage that uses a
+    setting of `cfg` whose validity does not depend on the data, in that stage's
+    text; a negative seed, surrogates or n_g is checked only here, in fxnet's own
+    words. A value of another type, such as "auto", is left to the stage using it."""
     for stage, bad, message in (
         ("ingest", isinstance(cfg.fill_limit, int) and cfg.fill_limit < 0,
          f"fill_limit must be >= 0, got {cfg.fill_limit}"),
@@ -453,11 +453,9 @@ def decompose(
     sd: SpectralDecomposition, bounds: RmtBounds, n_g: int | str
 ) -> tuple[ModeDecomposition, int]:
     """The global/group/random split and select_ng's count. n_g is "auto"
-    (that count) or an integer, capped at N - 1 so that the default of 6
-    still works on small panels."""
+    (that count) or an integer in [0, N - 1]."""
     n_g_auto = modes.select_ng(sd, bounds)
-    n_g_used = n_g_auto if n_g == "auto" else min(int(n_g), sd.size - 1)
-    return modes.decompose_modes(sd, n_g_used), n_g_auto
+    return modes.decompose_modes(sd, n_g_auto if n_g == "auto" else int(n_g)), n_g_auto
 
 
 @_stage("network")

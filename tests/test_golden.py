@@ -4,7 +4,8 @@
 random stream enters, and `golden/report` is their report tree, written by
 
     fxnet report --prices tests/golden/prices.csv \\
-        --metadata tests/golden/meta.csv --out-dir tests/golden/report --surrogates 0
+        --metadata tests/golden/meta.csv --out-dir tests/golden/report \\
+        --surrogates 0 --n-g 6
 
 (rerun it after a deliberate change of the output). The panel has ties, zero
 returns, a filled gap and two dropped dates. `golden/surrogates.json` is the
@@ -69,7 +70,7 @@ EIGENSOLVERS = {
 
 def _golden_config(out_dir=""):
     return PipelineConfig(str(GOLDEN / "prices.csv"), str(GOLDEN / "meta.csv"), out_dir,
-                          surrogates=0)
+                          surrogates=0, n_g=6)
 
 
 def _golden_returns():

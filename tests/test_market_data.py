@@ -144,6 +144,10 @@ HUGE_CELL = "1" * 131073  # one character over the csv module's default field li
     "prices, meta, message",
     [
         (None, META_HEADER + "1,AAA,A\n", "metadata line 2: expected 5 fields, got 3"),
+        (None, META_HEADER + "1,AAA,A,developed,Asia, East\n",
+         "metadata line 2: expected 5 fields, got 6"),
+        (None, META_HEADER + "1,AAA,A,developed,Europe,\n",
+         "metadata line 2: expected 5 fields, got 6"),
         (None, META_HEADER + f"1,AAA,{HUGE_CELL},developed,X\n",
          "metadata line 2: field larger than field limit"),
         (simple_table() + f"2020-01-05,1.4,{HUGE_CELL},3.4\n", meta_csv(CODES),
@@ -154,7 +158,8 @@ HUGE_CELL = "1" * 131073  # one character over the csv module's default field li
          "2020-01-03,1.2,oops,3.2\n", meta_csv(CODES),
          "line 5: non-numeric price 'oops' for BBB"),
     ],
-    ids=["short-metadata-row", "huge-metadata-cell", "huge-price-cell", "carriage-return",
+    ids=["short-metadata-row", "unquoted-comma-in-region", "trailing-comma",
+         "huge-metadata-cell", "huge-price-cell", "carriage-return",
          "quoted-line-break"],
 )
 def test_malformed_line_is_a_panel_error_naming_it(prices, meta, message):

@@ -215,7 +215,7 @@ class TestRunPipeline:
             assert record["positive"]["alpha"] > 0
         assert len(payload["spectrum"]["eigenvalues"]) == 4
         assert payload["graphs"]["mst"]["n_edges"] == 3
-        assert payload["modes"]["n_g_used"] == 3  # default 6 capped at N - 1
+        assert payload["modes"]["n_g_used"] == payload["modes"]["n_g_auto"]  # default "auto"
 
     def test_report_json_matches_payload(self, completed):
         rep, out_dir = completed
@@ -653,19 +653,29 @@ class TestCli:
         assert os.path.exists(os.path.join(out_dir, "threshold.net"))
         assert os.path.exists(os.path.join(out_dir, "sweep.csv"))
 
-    def test_default_ng_capped_like_report(self, inputs, capsys):
-        # the default --n-g 6 exceeds N - 1 = 3 on this 4-asset panel
+    def test_default_ng_is_auto_like_report(self, inputs, capsys):
+        """Left at its default, n_g is select_ng's count: each command writes
+        the tree it writes at `--n-g auto`, and decompose prints that count."""
         prices, meta, tmp_path = inputs
-        dirs = {cmd: str(tmp_path / cmd) for cmd in ("decompose", "threshnet", "report")}
-        for cmd, out_dir in dirs.items():
+        for cmd in ("decompose", "threshnet", "report"):
             extra = ["--surrogates", "1"] if cmd == "report" else []
-            assert cli_main([cmd] + self.base(prices, meta) +
-                            ["--out-dir", out_dir] + extra) == 0, cmd
-        assert "n_g=3" in capsys.readouterr().out
-        with open(os.path.join(dirs["decompose"], "c_group.csv"), "rb") as fh:
-            from_decompose = fh.read()
-        with open(os.path.join(dirs["report"], "c_group.csv"), "rb") as fh:
-            assert fh.read() == from_decompose
+            trees = []
+            for ng in ([], ["--n-g", "auto"]):
+                out_dir = str(tmp_path / cmd / str(len(ng)))
+                assert cli_main([cmd] + self.base(prices, meta) +
+                                ["--out-dir", out_dir] + extra + ng) == 0, (cmd, ng)
+                trees.append({rel: _read_bytes(path) for rel, path in _all_files(out_dir).items()})
+            assert trees[0] == trees[1], cmd
+        n_g_auto = read_json_report(tmp_path / "report" / "0" / "report.json")["modes"]["n_g_auto"]
+        assert f"decomposed with n_g={n_g_auto}\n" in capsys.readouterr().out
+        assert (_read_bytes(tmp_path / "report" / "0" / "c_group.csv")
+                == _read_bytes(tmp_path / "decompose" / "0" / "c_group.csv"))
+
+    def test_ng_above_n_minus_1_is_a_decomposition_error(self, inputs, capsys):
+        prices, meta, tmp_path = inputs
+        assert cli_main(["decompose"] + self.base(prices, meta) +
+                        ["--out-dir", str(tmp_path / "out"), "--n-g", "4"]) == 1
+        assert capsys.readouterr().err == "error [decomposition]: n_g must be in [0, 3], got 4\n"
 
     def test_report(self, inputs, capsys):
         prices, meta, tmp_path = inputs
@@ -764,7 +774,7 @@ class TestSubcommandsMatchReport:
 
     def test_shared_files_byte_identical_at_default_settings(self, tmp_path, capsys,
                                                               gappy_files):
-        """At every default setting (10 surrogates, n_g 6, a swept cutoff), on
+        """At every default setting (10 surrogates, n_g auto, a swept cutoff), on
         a table of the benchmark's `stages` shape whose blank cells are filled
         and whose outages drop dates."""
         prices, meta, _ = gappy_files
