@@ -30,7 +30,6 @@ _FLAGS = {
     "c_th": {"type": _cth_value, "help": "threshold value, or 'auto' for a grid sweep"},
     "surrogates": {"type": int, "help": "number of shuffled surrogates"},
     "seed": {"type": int, "help": "master seed of the surrogates"},
-    "hub_sigma": {"type": float, "help": "hub cutoff in degree standard deviations"},
 }
 
 
@@ -101,7 +100,7 @@ def cmd_decompose(cfg) -> None:
 def cmd_mst(cfg) -> None:
     """minimum spanning tree over Mantegna distances"""
     rp = _returns(cfg)
-    mst, cluster = report.build_mst(report.correlate(rp), rp.assets, cfg.hub_sigma)
+    mst, cluster = report.build_mst(report.correlate(rp), rp.assets)
     report.write_files(cfg.out_dir, report.graph_files(mst))
     print(f"MST: {len(mst.edges)} edges, {len(cluster.hubs)} hubs")
 
@@ -109,9 +108,7 @@ def cmd_mst(cfg) -> None:
 def cmd_threshnet(cfg) -> None:
     """threshold network over the group matrix"""
     rp, _, md = _split(cfg)
-    tnet, cluster, sweep, c_th = report.build_threshold(
-        md.c_group, rp.assets, cfg.c_th, cfg.hub_sigma
-    )
+    tnet, cluster, sweep, c_th = report.build_threshold(md.c_group, rp.assets, cfg.c_th)
     report.write_files(cfg.out_dir, report.graph_files(tnet, sweep))
     print(f"threshold network at c_th={c_th:.6g}: "
           f"{len(tnet.edges)} edges, {len(cluster.components)} components")
@@ -131,10 +128,9 @@ COMMANDS = {
     "tails": (cmd_tails, ("delta", "tail_fraction")),
     "spectrum": (cmd_spectrum, ("delta",)),
     "decompose": (cmd_decompose, ("delta", "n_g")),
-    "mst": (cmd_mst, ("delta", "hub_sigma")),
+    "mst": (cmd_mst, ("delta",)),
     "threshnet": (cmd_threshnet, ("delta", "n_g", "c_th")),
-    "report": (cmd_report, ("delta", "tail_fraction", "n_g", "c_th", "surrogates",
-                            "seed", "hub_sigma")),
+    "report": (cmd_report, ("delta", "tail_fraction", "n_g", "c_th", "surrogates", "seed")),
 }
 
 

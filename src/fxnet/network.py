@@ -10,7 +10,7 @@ import numpy as np
 from .market_data import AssetMeta
 
 CLAMP_TOL = 1e-9
-DEFAULT_HUB_SIGMA = 2.0
+HUB_SIGMA = 2.0
 MIN_CLUSTER_SIZE = 3
 THRESHOLD_GRID_POINTS = 40
 
@@ -132,19 +132,16 @@ def threshold_network(
     return Graph(assets=tuple(assets), edges=edges, kind="threshold")
 
 
-def cluster_report(g: Graph, hub_sigma: float = DEFAULT_HUB_SIGMA) -> ClusterReport:
+def cluster_report(g: Graph) -> ClusterReport:
     """Connected components of the non-isolated nodes plus degree-based hubs.
 
-    A hub has degree above mean + hub_sigma * std of all node degrees; hub_sigma
-    must be finite.
+    A hub has degree above mean + HUB_SIGMA * std of all node degrees.
     """
-    if not np.isfinite(hub_sigma):
-        raise ValueError(f"hub_sigma must be finite, got {hub_sigma}")
     n = g.n_nodes
     deg = g.degrees()
     components = _components(n, [(i, j) for i, j, _ in g.edges])
     isolated = tuple(int(i) for i in np.flatnonzero(deg == 0))
-    cutoff = deg.mean() + hub_sigma * deg.std()
+    cutoff = deg.mean() + HUB_SIGMA * deg.std()
     hubs = sorted(
         ((int(i), int(deg[i])) for i in range(n) if deg[i] > cutoff),
         key=lambda h: (-h[1], h[0]),

@@ -55,7 +55,6 @@ class PipelineConfig:
     c_th: float | str = "auto"  # real or "auto" (grid sweep)
     surrogates: int = DEFAULT_SURROGATES
     seed: int = DEFAULT_SEED
-    hub_sigma: float = network.DEFAULT_HUB_SIGMA
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +280,6 @@ def check_settings(cfg: PipelineConfig) -> None:
          f"surrogates must be >= 0, got {cfg.surrogates}"),
         ("decomposition", isinstance(cfg.n_g, int) and cfg.n_g < 0,
          f"n_g must be >= 0, got {cfg.n_g}"),
-        ("network", isinstance(cfg.hub_sigma, float) and not math.isfinite(cfg.hub_sigma),
-         f"hub_sigma must be finite, got {cfg.hub_sigma}"),
         ("network", isinstance(cfg.c_th, float) and not math.isfinite(cfg.c_th),
          f"threshold c_th must be finite, got {cfg.c_th}"),
     ):
@@ -455,20 +452,18 @@ def decompose(
     """The global/group/random split and select_ng's count. n_g is "auto"
     (that count) or an integer in [0, N - 1]."""
     n_g_auto = modes.select_ng(sd, bounds)
-    return modes.decompose_modes(sd, n_g_auto if n_g == "auto" else int(n_g)), n_g_auto
+    return modes.decompose_modes(sd, n_g_auto if n_g == "auto" else n_g), n_g_auto
 
 
 @_stage("network")
-def build_mst(
-    c: np.ndarray, assets: tuple[AssetMeta, ...], hub_sigma: float
-) -> tuple[Graph, ClusterReport]:
+def build_mst(c: np.ndarray, assets: tuple[AssetMeta, ...]) -> tuple[Graph, ClusterReport]:
     mst = network.minimum_spanning_tree(network.mantegna_distance(c), assets)
-    return mst, network.cluster_report(mst, hub_sigma)
+    return mst, network.cluster_report(mst)
 
 
 @_stage("network")
 def build_threshold(
-    c_group: np.ndarray, assets: tuple[AssetMeta, ...], c_th: float | str, hub_sigma: float
+    c_group: np.ndarray, assets: tuple[AssetMeta, ...], c_th: float | str
 ) -> tuple[Graph, ClusterReport, SweepResult | None, float]:
     """The threshold network at c_th, a real or "auto" (the recommended cutoff
     of threshold_sweep), its report, the sweep (None for a given cutoff) and
@@ -478,7 +473,7 @@ def build_threshold(
         sweep = network.threshold_sweep(c_group)
         c_th = sweep.recommended
     tnet = network.threshold_network(c_group, float(c_th), assets)
-    return tnet, network.cluster_report(tnet, hub_sigma), sweep, float(c_th)
+    return tnet, network.cluster_report(tnet), sweep, float(c_th)
 
 
 @_stage("export")
@@ -582,10 +577,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     sd, bounds = spectrum(c, rp.n_steps)
     surrogate_summary = surrogate_stats(rp, bounds, cfg.seed, cfg.surrogates)
     md, n_g_auto = decompose(sd, bounds, cfg.n_g)
-    mst, mst_report = build_mst(c, rp.assets, cfg.hub_sigma)
-    tnet, tnet_report, sweep, c_th_used = build_threshold(
-        md.c_group, rp.assets, cfg.c_th, cfg.hub_sigma
-    )
+    mst, mst_report = build_mst(c, rp.assets)
+    tnet, tnet_report, sweep, c_th_used = build_threshold(md.c_group, rp.assets, cfg.c_th)
 
     u0 = sd.eigenvectors[0]
     leading_mode = [

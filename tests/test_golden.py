@@ -295,7 +295,7 @@ def test_c_from_scipys_dsyrk_prints_the_committed_files():
     c = (upper + np.triu(upper, 1).T) / rp.n_steps
     np.fill_diagonal(c, 1.0)
     sd, _ = spectrum(c, rp.n_steps)
-    mst, _ = build_mst(c, rp.assets, _golden_config().hub_sigma)
+    mst, _ = build_mst(c, rp.assets)
     fresh = dict(spectrum_files(rp.assets, c, sd)) | dict(graph_files(mst))
     for rel in ("correlation.csv", "mst.net", "mst.json"):
         assert fresh[rel] == (GOLDEN / "report" / rel).read_text(encoding="utf-8"), rel

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import make_assets, planted_group_panel
 from fxnet.network import (
+    Graph,
     cluster_report,
     mantegna_distance,
     minimum_spanning_tree,
@@ -193,9 +194,6 @@ class TestThresholdNetwork:
     def test_non_finite_cutoffs_rejected(self, bad):
         with pytest.raises(ValueError, match="threshold c_th must be finite"):
             threshold_network(np.eye(3), bad, make_assets(3))
-        g = threshold_network(np.eye(3), 0.5, make_assets(3))
-        with pytest.raises(ValueError, match="hub_sigma must be finite"):
-            cluster_report(g, bad)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="^matrix size does not match asset list$"):
@@ -228,9 +226,22 @@ class TestClusterReport:
         for i in range(1, n):
             m[0, i] = m[i, 0] = 0.5
         g = threshold_network(m, 0.1, make_assets(n))
-        report = cluster_report(g, hub_sigma=2.0)
+        report = cluster_report(g)
         assert len(report.components) == 1
         assert report.hubs == ((0, 9),)
+
+    def test_hub_cutoff_is_two_degree_standard_deviations(self):
+        """Node 0's degree is 2.35 standard deviations above the mean degree
+        and node 1's 1.76, so a hub cutoff of mean + 2 std picks node 0 alone;
+        one of 1.5 std would add node 1, and one of 2.5 std would pick none."""
+        degrees = [6, 5, 2, 2, 1, 1, 1, 1, 1, 1, 1]
+        pairs = [(0, j) for j in range(2, 8)] + [(1, j) for j in (2, 3, 8, 9, 10)]
+        g = Graph(assets=make_assets(11), edges=tuple((i, j, 0.5) for i, j in pairs),
+                  kind="threshold")
+        assert g.degrees().tolist() == degrees
+        z = (np.array(degrees) - np.mean(degrees)) / np.std(degrees)
+        assert 2 < z[0] < 2.5 and 1.5 < z[1] < 2 and max(z[2:]) < 1.5
+        assert cluster_report(g).hubs == ((0, 6),)
 
     def test_components_partition_non_isolated(self, rng):
         m = rng.uniform(-0.5, 0.5, (12, 12))

@@ -301,6 +301,21 @@ class TestRunPipeline:
         assert rep["modes"]["n_g_auto"] == 2
         assert rep["modes"]["n_g_used"] == 2
 
+    def test_non_integer_ng_raises_decomposition_stage(self, tmp_path):
+        """A library caller's n_g=2.7 is not run as 2; a numpy integer is an
+        integer."""
+        prices, meta = synthetic_price_files(tmp_path)
+        out_dir = tmp_path / "out"
+        cfg = PipelineConfig(prices_path=prices, metadata_path=meta, out_dir=str(out_dir),
+                             n_g=2.7, surrogates=0)
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "decomposition"
+        assert not out_dir.exists()
+        rep = run_pipeline(dataclasses.replace(cfg, n_g=np.int64(2)))
+        assert rep["modes"]["n_g_used"] == 2
+        assert read_json_report(out_dir / "report.json")["config"]["n_g"] == 2
+
     def test_explicit_threshold_skips_sweep(self, tmp_path):
         prices, meta = synthetic_price_files(tmp_path)
         out_dir = str(tmp_path / "out")
@@ -706,11 +721,12 @@ class TestCli:
         assert code == 1
         assert "error [tails]" in capsys.readouterr().err
 
-    def test_threshnet_has_no_hub_sigma(self, inputs, capsys):
-        """threshnet writes and prints nothing that reads the hubs."""
+    @pytest.mark.parametrize("command", ["report", "mst", "threshnet"])
+    def test_no_command_takes_hub_sigma(self, inputs, capsys, command):
+        """The hub cutoff is fixed at mean + 2 std of the degrees."""
         prices, meta, tmp_path = inputs
         with pytest.raises(SystemExit) as exc:
-            cli_main(["threshnet"] + self.base(prices, meta) +
+            cli_main([command] + self.base(prices, meta) +
                      ["--out-dir", str(tmp_path / "out"), "--hub-sigma", "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --hub-sigma 3" in capsys.readouterr().err
@@ -959,10 +975,7 @@ def test_a_panel_with_fewer_than_two_unpegged_assets_fails_at_returns(
         ["report", "--surrogates", "1", "--c-th", "nan"],
         ["report", "--surrogates", "1", "--c-th=inf"],
         ["report", "--surrogates", "1", "--c-th=-inf"],
-        ["report", "--surrogates", "1", "--hub-sigma", "nan"],
         ["threshnet", "--c-th", "nan"],
-        ["mst", "--hub-sigma", "nan"],
-        ["mst", "--hub-sigma=-inf"],
     ],
     ids=" ".join,
 )
@@ -979,14 +992,12 @@ def test_non_finite_cutoff_is_a_network_error(tmp_path, capsys, argv):
     "argv, stage, message",
     [
         (["report", "--c-th", "nan"], "network", "threshold c_th must be finite, got nan"),
-        (["report", "--hub-sigma=-inf"], "network", "hub_sigma must be finite, got -inf"),
         (["report", "--n-g", "-1"], "decomposition", "n_g must be >= 0, got -1"),
         (["report", "--surrogates", "-1"], "surrogates", "surrogates must be >= 0, got -1"),
         (["report", "--seed", "-1"], "surrogates", "seed must be >= 0, got -1"),
         (["threshnet", "--c-th=inf"], "network", "threshold c_th must be finite, got inf"),
         (["threshnet", "--n-g", "-2"], "decomposition", "n_g must be >= 0, got -2"),
         (["decompose", "--n-g", "-1"], "decomposition", "n_g must be >= 0, got -1"),
-        (["mst", "--hub-sigma", "nan"], "network", "hub_sigma must be finite, got nan"),
         (["returns", "--delta", "0"], "returns", "delta must be >= 1, got 0"),
         (["spectrum", "--delta", "0"], "returns", "delta must be >= 1, got 0"),
         (["tails", "--tail-fraction", "0.9"], "tails",
@@ -1176,7 +1187,7 @@ def test_every_csv_equals_the_csv_module_text_of_its_rows(rng):
     cm = report.correlate(rp)
     sd, bounds = report.spectrum(cm, rp.n_steps)
     md, _ = report.decompose(sd, bounds, 2)
-    tnet, _, sweep, _ = report.build_threshold(md.c_group, assets, "auto", 2.0)
+    tnet, _, sweep, _ = report.build_threshold(md.c_group, assets, "auto")
     assert sweep.entries
 
     def by_code(m):
